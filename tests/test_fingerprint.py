@@ -1,0 +1,84 @@
+"""Pinned behaviour fingerprint.
+
+Fixed small campaigns, one oracle scan and one drawing, hashed.  A change
+that is meant to keep behaviour (a refactor, a speed-up) must leave every
+pin as it is; a change that is meant to alter behaviour must say so and
+re-pin.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from sawalk.cli import main
+from sawalk.harness import ExperimentConfig, improving_campaign, rows_csv, run_rows
+from sawalk.hpfold import make_problem
+from sawalk.instances import load_instances
+from sawalk.oracle import enumerate_optimum, report_text
+from sawalk.render import ascii_conformation
+
+HP10 = Path(__file__).resolve().parent.parent / "instances" / "hp10.instances"
+BASE_SEED = 1901
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def hp10():
+    return {problem.plan: problem for problem in load_instances(HP10)}
+
+
+@pytest.mark.parametrize(
+    "plan, digest",
+    [
+        ("A", "6921a2ec8de13acdf69c7c82c8b1b0dcf2bd0d85bca5ba3534b3a05137128197"),
+        ("B", "f5429408340b4eb9c1604e8d3cb1121704a4fefa8793938daa5af9eded6d7636"),
+        ("C", "31360ed3dc35f1ced0cb5d981c2e3de06c331eafac75359c37e5b3833cf49d41"),
+    ],
+)
+def test_campaign_csv(hp10, plan, digest):
+    rows = run_rows(ExperimentConfig(hp10[plan], sample_size=20, base_seed=BASE_SEED))
+    assert sha256(rows_csv(rows)) == digest
+
+
+def test_improving_campaign_csv(hp10):
+    bound, rows = improving_campaign(
+        ExperimentConfig(hp10["C"], sample_size=20, base_seed=BASE_SEED)
+    )
+    assert bound == -3
+    assert sha256(rows_csv(rows)) == (
+        "d1b0d40de008b9117109f76aeb8b69cb2d32795d9e2258c22bb740cc69eb4dd4"
+    )
+
+
+def test_solve_csv(tmp_path, capsys):
+    out = tmp_path / "row.csv"
+    main(["solve", "--instance", str(HP10), "--index", "2", "--base-seed", "7", "--out", str(out)])
+    capsys.readouterr()
+    assert out.read_text() == (
+        "seed,coordB,coordT,value,cntProbe,walkLength,probesPerStep,isCensored\n"
+        "7,1001001001,011011011,-4,3898,233,16.72961373390558,0\n"
+    )
+
+
+def test_oracle_report_plan_c_n10():
+    report = enumerate_optimum(make_problem("C", n=10, weight_target=4, energy_target=-4))
+    assert sha256(report_text(report)) == (
+        "ca8c9d96f3d7668836202da0a229d2631c536db5fabf214704601255ae0c5643"
+    )
+
+
+def test_ascii_drawing():
+    assert ascii_conformation("1001001001", "211011011") == (
+        "o-o\n"
+        "| |\n"
+        "#*#-o\n"
+        ": : |\n"
+        "#*#-o\n"
+        "| |\n"
+        "o-o\n"
+        "\n"
+        "energy -4  weight 4  length 10\n"
+    )
