@@ -38,7 +38,7 @@ from sawalk.mixedradix import (
     random_coordinate,
     rank_distance,
 )
-from sawalk.oracle import OracleReport, count_at_or_below, enumerate_optimum
+from sawalk.oracle import OracleReport, enumerate_optimum
 from sawalk.render import render_conformation
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "SpaceTooLargeError",
     "VisitedBuffer",
     "contacts",
-    "count_at_or_below",
     "decode_fold",
     "enumerate_optimum",
     "hasse_dot",

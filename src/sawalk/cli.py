@@ -26,10 +26,10 @@ from sawalk.harness import (
     rows_csv,
     run_experiment,
 )
-from sawalk.hpfold import digits_text, make_problem
+from sawalk.hpfold import make_problem
 from sawalk.instances import load_instances
 from sawalk.mixedradix import hasse_dot, hasse_stats, parse_spec
-from sawalk.oracle import count_at_or_below, enumerate_optimum, report_text
+from sawalk.oracle import enumerate_optimum, report_text
 from sawalk.render import ascii_conformation, svg_conformation
 
 
@@ -81,17 +81,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         buffer_capacity=args.buffer_capacity,
     )
     result = run_search(config, problem)
-    n = problem.n
-    row = RunRow(
-        seed=result.seed,
-        coord_b=digits_text(result.coordinate.digits[:n]),
-        coord_t=digits_text(result.coordinate.digits[n:]),
-        value=result.value,
-        cnt_probe=result.probe_count,
-        walk_length=result.walk_length,
-        probes_per_step=result.probes_per_step,
-        is_censored=result.is_censored,
-    )
+    row = RunRow.from_result(result, problem.n)
     status = "censored" if row.is_censored else "solved"
     print(
         f"{status}: value {row.value} at {row.coord_b}.{row.coord_t} "
@@ -150,7 +140,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     report = enumerate_optimum(problem, domain_cap=args.domain_cap, workers=args.workers)
     text = report_text(report)
     if args.threshold is not None:
-        count = count_at_or_below(problem, args.threshold, report=report)
+        count = report.count_at_or_below(args.threshold)
         text += f"count-at-or-below[{args.threshold}] = {count}\n"
     _write_or_print(text, args.out)
     return 0

@@ -26,9 +26,15 @@ from sawalk.engine import (
     DEFAULT_PROBE_LIMIT,
     DEFAULT_SEED,
     SearchConfig,
+    SearchResult,
     run_search,
 )
-from sawalk.hpfold import HPProblem, canonical_turns, digits_text
+from sawalk.hpfold import (
+    HPProblem,
+    _require_picklable_penalty,
+    canonical_turns,
+    digits_text,
+)
 
 CSV_COLUMNS = ("seed", "coordB", "coordT", "value", "cntProbe", "walkLength", "probesPerStep", "isCensored")
 
@@ -82,6 +88,21 @@ class RunRow:
     probes_per_step: float
     is_censored: bool
 
+    @classmethod
+    def from_result(cls, result: SearchResult, n: int) -> RunRow:
+        """The row of one search; ``n`` splits the colors from the turns."""
+        digits = result.coordinate.digits
+        return cls(
+            seed=result.seed,
+            coord_b=digits_text(digits[:n]),
+            coord_t=digits_text(digits[n:]),
+            value=result.value,
+            cnt_probe=result.probe_count,
+            walk_length=result.walk_length,
+            probes_per_step=result.probes_per_step,
+            is_censored=result.is_censored,
+        )
+
 
 @dataclass
 class ExperimentConfig:
@@ -119,18 +140,7 @@ def run_one(config: ExperimentConfig, index: int) -> RunRow:
         probe_limit=config.probe_limit,
         buffer_capacity=config.buffer_capacity,
     )
-    result = run_search(search, config.problem)
-    n = config.problem.n
-    return RunRow(
-        seed=result.seed,
-        coord_b=digits_text(result.coordinate.digits[:n]),
-        coord_t=digits_text(result.coordinate.digits[n:]),
-        value=result.value,
-        cnt_probe=result.probe_count,
-        walk_length=result.walk_length,
-        probes_per_step=result.probes_per_step,
-        is_censored=result.is_censored,
-    )
+    return RunRow.from_result(run_search(search, config.problem), config.problem.n)
 
 
 def run_rows(config: ExperimentConfig, indices: Optional[Iterable[int]] = None) -> list[RunRow]:
@@ -140,6 +150,7 @@ def run_rows(config: ExperimentConfig, indices: Optional[Iterable[int]] = None) 
     indices = list(indices)
     if config.parallelism <= 1 or len(indices) <= 1:
         return [run_one(config, i) for i in indices]
+    _require_picklable_penalty(config.problem)
     with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
         chunk = max(1, len(indices) // (config.parallelism * 8))
         return list(pool.map(_row_task, ((config, i) for i in indices), chunksize=chunk))
@@ -210,19 +221,7 @@ def improving_campaign(config: ExperimentConfig) -> tuple[int, list[RunRow]]:
             mode="bound-improving",
         )
         result = run_search(search, config.problem, bound=bound)
-        n = config.problem.n
-        rows.append(
-            RunRow(
-                seed=result.seed,
-                coord_b=digits_text(result.coordinate.digits[:n]),
-                coord_t=digits_text(result.coordinate.digits[n:]),
-                value=result.value,
-                cnt_probe=result.probe_count,
-                walk_length=result.walk_length,
-                probes_per_step=result.probes_per_step,
-                is_censored=result.is_censored,
-            )
-        )
+        rows.append(RunRow.from_result(result, config.problem.n))
         if not result.is_censored and result.value < bound:
             bound = result.value
     return bound, rows

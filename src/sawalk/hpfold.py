@@ -15,6 +15,7 @@ and plan C searches both segments simultaneously under a weight cap.
 from __future__ import annotations
 
 import math
+import pickle
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -25,8 +26,10 @@ from sawalk.mixedradix import Coordinate, RadixSpec, sample_weight_positions
 Digits = Union[str, Sequence[int]]
 PenaltyFn = Callable[[int, int, int], int]
 
-# lattice points are packed as (x << 16) + y; safe for |y| < 2**15
+# lattice points are packed as (x << 16) + y; safe for |y| < 2**15, which
+# holds for every chain of at most 2**15 beads
 _X = 1 << 16
+MAX_BEADS = 1 << 15
 
 PLANS = ("A", "B", "C")
 
@@ -58,64 +61,74 @@ class FoldOutcome:
     feasible: bool
     first_collision_index: Optional[int]
     collision_count: int
+    pairs: tuple[tuple[int, int], ...]  # sorted contact pairs; empty unless feasible
 
 
-def _trace(turns: Sequence[int], dx: int = 0, dy: int = 1) -> list[int]:
-    """Packed lattice points of the chain, collisions not yet examined.
+# headings 0-3 point up, right, down and left; _TURNED[h][t] is the heading
+# after turn digit t (0 left, 1 right, 2 straight)
+_STEP = (1, _X, -1, -_X)
+_TURNED = ((3, 1, 0), (0, 2, 1), (1, 3, 2), (2, 0, 3))
 
-    The initial heading is a parameter only so orientation invariance can
-    be exercised; production callers use the +y default.
-    """
-    p = 0
+
+def _trace(turns: Sequence[int]) -> list[int]:
+    """Packed lattice points of the chain, collisions not yet examined."""
+    p = h = 0
     points = [0]
     append = points.append
     for t in turns:
-        if t == 0:
-            dx, dy = -dy, dx
-        elif t == 1:
-            dx, dy = dy, -dx
-        p += dx * _X + dy
+        h = _TURNED[h][t]
+        p += _STEP[h]
         append(p)
     return points
 
 
-def _collision_stats(points: Sequence[int]) -> tuple[Optional[int], int]:
-    """First colliding bead index and the total number of collisions."""
-    seen = set()
-    first = None
-    collisions = 0
-    for i, p in enumerate(points):
-        if p in seen:
-            collisions += 1
-            if first is None:
-                first = i
-        else:
-            seen.add(p)
-    return first, collisions
-
-
-def _fold_points(turns: Sequence[int], dx: int = 0, dy: int = 1):
-    """Place the chain, returning packed points plus collision accounting.
+@lru_cache(maxsize=1 << 16)
+def _fold_analysis(turns: tuple[int, ...]) -> tuple[Optional[int], int, tuple[tuple[int, int], ...]]:
+    """The one fold record: (first collision, collision count, contact pairs).
 
     Placement continues past collisions so the collision count is total.
+    Contact pairs (i, j), i + 1 < j, are the lattice-adjacent beads of a
+    feasible fold, sorted; a colliding fold has none.  Walk steps re-decode
+    the same fold many times (every color move keeps the turn segment), so
+    the record is memoized; it holds no lattice points, which keeps the
+    cache small.
     """
-    points = _trace(turns, dx, dy)
-    if len(set(points)) == len(points):
-        return points, None, 0
-    first, collisions = _collision_stats(points)
-    return points, first, collisions
-
-
-@lru_cache(maxsize=1 << 16)
-def _fold_analysis(turns: tuple[int, ...]):
-    # walk steps re-decode the same fold many times (every color move keeps
-    # the turn segment); memoizing the decode is a pure speedup
-    return _fold_points(turns)
+    if len(turns) >= MAX_BEADS:
+        raise ValueError(f"chains of more than {MAX_BEADS} beads are not supported")
+    points = _trace(turns)
+    index = dict(zip(points, range(len(points))))
+    if len(index) < len(points):
+        seen = set()
+        for first, p in enumerate(points):
+            if p in seen:
+                break
+            seen.add(p)
+        return first, len(points) - len(index), ()
+    get = index.get
+    pairs = []
+    append = pairs.append
+    # each adjacency is seen once, from its lower or its left bead
+    for i, p in enumerate(points):
+        j = get(p + 1)
+        if j is not None and abs(j - i) > 1:
+            append((i, j) if i < j else (j, i))
+        j = get(p + _X)
+        if j is not None and abs(j - i) > 1:
+            append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return None, 0, tuple(pairs)
 
 
 def _unpack(p: int) -> tuple[int, int]:
     y = ((p + (1 << 15)) & (_X - 1)) - (1 << 15)
     return (p - y) >> 16, y
+
+
+def _turn_digits(ternary: Digits) -> tuple[int, ...]:
+    turns = as_digits(ternary)
+    if any(t not in (0, 1, 2) for t in turns):
+        raise ValueError("fold encoding must be ternary digits")
+    return turns
 
 
 def decode_fold(ternary: Digits) -> FoldOutcome:
@@ -125,39 +138,19 @@ def decode_fold(ternary: Digits) -> FoldOutcome:
     digit first rotates the heading (0 left, 1 right, 2 straight) and then
     advances one lattice unit to place the next bead.
     """
-    turns = as_digits(ternary)
-    if any(t not in (0, 1, 2) for t in turns):
-        raise ValueError("fold encoding must be ternary digits")
-    points, first, collisions = _fold_points(turns)
+    turns = _turn_digits(ternary)
+    first, collisions, pairs = _fold_analysis(turns)
     return FoldOutcome(
-        positions=tuple(_unpack(p) for p in points),
+        positions=tuple(_unpack(p) for p in _trace(turns)),
         feasible=collisions == 0,
         first_collision_index=first,
         collision_count=collisions,
+        pairs=pairs,
     )
 
 
-def _contact_count(points: Sequence[int], bits: Sequence[int]) -> int:
-    # only H beads can touch; few of them makes the all-pairs scan cheapest,
-    # many of them makes the hashed neighbor probe cheaper
-    hpoints = [(p, i) for i, p in enumerate(points) if bits[i]]
-    count = 0
-    if len(hpoints) <= 9:
-        for a, (p, i) in enumerate(hpoints):
-            for q, j in hpoints[a + 1 :]:
-                if j > i + 1:
-                    d = abs(q - p)
-                    if d == 1 or d == _X:
-                        count += 1
-        return count
-    index = dict(hpoints)
-    get = index.get
-    for p, i in hpoints:
-        for q in (p + 1, p + _X):
-            j = get(q)
-            if j is not None and abs(j - i) > 1:
-                count += 1
-    return count
+def _hh_count(pairs: Sequence[tuple[int, int]], bits: Sequence[int]) -> int:
+    return sum(1 for i, j in pairs if bits[i] and bits[j])
 
 
 def contacts(outcome: FoldOutcome, binary: Digits) -> int:
@@ -169,23 +162,14 @@ def contacts(outcome: FoldOutcome, binary: Digits) -> int:
         raise ValueError(
             f"binary segment has {len(bits)} digits for a {len(outcome.positions)}-bead fold"
         )
-    points = [(x << 16) + y for x, y in outcome.positions]
-    return _contact_count(points, bits)
+    return _hh_count(outcome.pairs, bits)
 
 
 def contact_pairs(outcome: FoldOutcome) -> list[tuple[int, int]]:
-    """Index pairs (i, j), j > i + 1, whose beads are lattice-adjacent."""
+    """Index pairs (i, j), j > i + 1, whose beads are lattice-adjacent, sorted."""
     if not outcome.feasible:
         raise ValueError("contact pairs are defined only for feasible folds")
-    points = [(x << 16) + y for x, y in outcome.positions]
-    index = {p: i for i, p in enumerate(points)}
-    pairs = []
-    for i, p in enumerate(points):
-        for q in (p + 1, p - 1, p + _X, p - _X):
-            j = index.get(q)
-            if j is not None and j > i + 1:
-                pairs.append((i, j))
-    return pairs
+    return list(outcome.pairs)
 
 
 def default_penalty(n: int, first_collision: int, collision_count: int) -> int:
@@ -196,6 +180,17 @@ def default_penalty(n: int, first_collision: int, collision_count: int) -> int:
     return (n - first_collision) + (collision_count - 1)
 
 
+def _require_picklable_penalty(problem: HPProblem) -> None:
+    """Fail before a process pool starts if the problem cannot reach its workers."""
+    try:
+        pickle.dumps(problem.penalty)
+    except (pickle.PicklingError, AttributeError, TypeError) as err:
+        raise ValueError(
+            f"penalty {problem.penalty!r} cannot be pickled for worker processes "
+            "(a lambda or local function); use a module-level function or one worker"
+        ) from err
+
+
 def objective_value(
     coord_b: Digits,
     coord_t: Digits,
@@ -203,14 +198,14 @@ def objective_value(
 ) -> int:
     """Energy of a feasible fold (-contacts) or its infeasibility penalty."""
     bits = as_digits(coord_b)
-    turns = as_digits(coord_t)
+    turns = _turn_digits(coord_t)
     n = len(bits)
     if len(turns) != n - 1:
         raise ValueError(f"need {n - 1} turn digits for {n} beads, got {len(turns)}")
-    points, first, collisions = _fold_points(turns)
+    first, collisions, pairs = _fold_analysis(turns)
     if collisions:
         return penalty(n, first, collisions)
-    return -_contact_count(points, bits)
+    return -_hh_count(pairs, bits)
 
 
 def canonical_turns(turns: Digits) -> tuple[int, ...]:
@@ -267,10 +262,10 @@ class HPProblem:
     def objective(self, coord: Coordinate) -> int:
         bits = coord.digits
         n = self.n
-        points, first, collisions = _fold_analysis(bits[n:])
+        first, collisions, pairs = _fold_analysis(bits[n:])
         if collisions:
             return self.penalty(n, first, collisions)
-        return -_contact_count(points, bits)
+        return -_hh_count(pairs, bits)
 
     def admissible_neighbors(self, coord: Coordinate) -> list[Coordinate]:
         """Distance-1 moves the plan admits, position-major order."""
@@ -385,8 +380,8 @@ def make_problem(
         if n is None or weight_target is None:
             raise ValueError("plan C requires the chain length and weight target")
 
-    if n < 3:
-        raise ValueError("chains need at least 3 beads")
+    if not 3 <= n <= MAX_BEADS:
+        raise ValueError(f"chains need 3 to {MAX_BEADS} beads, got {n}")
     if not 0 <= weight_target <= n:
         raise ValueError(f"weight target {weight_target} out of range for {n} beads")
     if energy_target is None:

@@ -20,7 +20,13 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from sawalk.hpfold import _X, HPProblem, _trace, canonical_turns, digits_text
+from sawalk.hpfold import (
+    HPProblem,
+    _fold_analysis,
+    _require_picklable_penalty,
+    canonical_turns,
+    digits_text,
+)
 from sawalk.mixedradix import SpaceTooLargeError
 
 DEFAULT_DOMAIN_CAP = 10**8
@@ -85,6 +91,9 @@ def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
     """Evaluate flat indices [start, stop) of the enumeration."""
     n = problem.n
     penalty = problem.penalty
+    # uncached: a scan decodes each fold once, so it must neither fill nor
+    # evict the walk's fold cache
+    analyse = _fold_analysis.__wrapped__
     binaries = _binaries(problem)
     num_b = len(binaries)
     masks = [sum(1 << i for i, b in enumerate(bits) if b) for bits in binaries]
@@ -111,15 +120,9 @@ def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
 
     while remaining > 0:
         span = min(num_b - b_offset, remaining)
-        points = _trace(turns)
-        if len(set(points)) == len(points):
-            pair_masks = []
-            index = {p: i for i, p in enumerate(points)}
-            for i, p in enumerate(points):
-                for q in (p + 1, p + _X):
-                    j = index.get(q)
-                    if j is not None and abs(j - i) > 1:
-                        pair_masks.append((1 << i) | (1 << j))
+        first, collisions, pairs = analyse(turns)
+        if not collisions:
+            pair_masks = [(1 << i) | (1 << j) for i, j in pairs]
             for b_idx in range(b_offset, b_offset + span):
                 mask = masks[b_idx]
                 value = -sum(1 for m in pair_masks if mask & m == m)
@@ -130,16 +133,6 @@ def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
                         argmin.clear()
                     argmin.add((b_idx, t_idx))
         else:
-            seen: set[int] = set()
-            first = None
-            collisions = 0
-            for i, p in enumerate(points):
-                if p in seen:
-                    collisions += 1
-                    if first is None:
-                        first = i
-                else:
-                    seen.add(p)
             value = penalty(n, first, collisions)
             histogram[value] = histogram.get(value, 0) + span
             if min_value is None or value <= min_value:
@@ -203,6 +196,7 @@ def enumerate_optimum(
         return OracleReport(0, (), 0, {})
     if workers <= 1:
         return _scan(problem, start, stop)
+    _require_picklable_penalty(problem)
     bounds = [start + (stop - start) * i // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -211,22 +205,6 @@ def enumerate_optimum(
             if lo < hi
         ]
         return merge_reports([f.result() for f in futures])
-
-
-def count_at_or_below(
-    problem: HPProblem,
-    threshold: float,
-    report: Optional[OracleReport] = None,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
-    workers: int = 1,
-) -> int:
-    """How many eligible pairs score at or below the threshold.
-
-    Pass a previously computed report to avoid re-scanning the domain.
-    """
-    if report is None:
-        report = enumerate_optimum(problem, domain_cap=domain_cap, workers=workers)
-    return report.count_at_or_below(threshold)
 
 
 def report_text(report: OracleReport) -> str:
@@ -243,10 +221,16 @@ def report_text(report: OracleReport) -> str:
 
 
 def parse_report(text: str) -> OracleReport:
+    """Read back ``report_text`` output, including the CLI's threshold lines.
+
+    A ``count-at-or-below[t] = c`` line is checked against the histogram
+    and rejected when they disagree.
+    """
     evaluations = 0
     min_value = 0
     histogram: dict[int, int] = {}
     argmin: list[tuple[str, str]] = []
+    threshold_counts: list[tuple[int, int]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -258,14 +242,23 @@ def parse_report(text: str) -> OracleReport:
             min_value = int(value)
         elif key.startswith("count[") and key.endswith("]"):
             histogram[int(key[6:-1])] = int(value)
+        elif key.startswith("count-at-or-below[") and key.endswith("]"):
+            threshold_counts.append((int(key[18:-1]), int(value)))
         elif key == "argmin":
             colors, turns = value.split()
             argmin.append((colors, turns))
         else:
             raise ValueError(f"unrecognized report line: {raw!r}")
-    return OracleReport(
+    report = OracleReport(
         min_value=min_value,
         argmin=tuple(sorted(argmin)),
         evaluations=evaluations,
         histogram=histogram,
     )
+    for threshold, count in threshold_counts:
+        expected = report.count_at_or_below(threshold)
+        if count != expected:
+            raise ValueError(
+                f"count-at-or-below[{threshold}] = {count}, but the histogram gives {expected}"
+            )
+    return report

@@ -4,6 +4,7 @@ import pytest
 
 from sawalk.cli import main
 from sawalk.harness import parse_rows_csv
+from sawalk.oracle import parse_report
 
 
 class TestSolve:
@@ -90,6 +91,20 @@ class TestOracle:
         assert "min-value = -4" in out
         assert "argmin = 1001001001 211011011" in out
         assert "count-at-or-below[-4] = 1" in out
+
+    def test_threshold_report_reads_back(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        main(
+            f"oracle --plan A --coord-b 1001001001 --target -4 --threshold -4 --out {out}".split()
+        )
+        capsys.readouterr()
+        assert "count-at-or-below[-4] = 6\n" in out.read_text()
+        report = parse_report(out.read_text())
+        assert report.count_at_or_below(-4) == 6
+        assert report.argmin == (
+            ("1001001001", "200100100"),
+            ("1001001001", "211011011"),
+        )
 
     def test_domain_cap_refusal(self):
         with pytest.raises(Exception):

@@ -101,6 +101,12 @@ class TestCampaign:
         parallel = ExperimentConfig(plan_c(-3), sample_size=12, base_seed=5, parallelism=2)
         assert run_rows(serial) == run_rows(parallel)
 
+    def test_unpicklable_penalty_fails_before_the_pool(self):
+        problem = plan_c(-3, penalty=lambda n, first, count: 1)
+        config = ExperimentConfig(problem, sample_size=4, base_seed=5, parallelism=2)
+        with pytest.raises(ValueError, match="penalty"):
+            run_rows(config)
+
     def test_probes_per_step_excludes_zero_step_runs(self):
         # weight-0 4-bead chains: every initial fold is feasible at value 0
         problem = make_problem("C", n=4, weight_target=0, energy_target=0)

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from sawalk.hpfold import (
+    MAX_BEADS,
     contact_pairs,
     contacts,
     decode_fold,
@@ -14,7 +15,6 @@ from sawalk.hpfold import (
     target_energy,
     weight,
 )
-from sawalk.hpfold import _fold_points
 from sawalk.mixedradix import rank_distance
 
 
@@ -91,6 +91,22 @@ class TestContacts:
         assert all(j > i + 1 for i, j in pairs)
         assert (0, 3) in pairs and (0, 9) in pairs
 
+    def test_contact_pairs_match_all_pairs_scan(self):
+        # differential check against a quadratic scan of the decoded positions
+        for turns in product((0, 1, 2), repeat=7):
+            out = decode_fold(turns)
+            if not out.feasible:
+                assert out.pairs == ()
+                continue
+            pos = out.positions
+            expected = [
+                (i, j)
+                for i in range(len(pos))
+                for j in range(i + 2, len(pos))
+                if abs(pos[i][0] - pos[j][0]) + abs(pos[i][1] - pos[j][1]) == 1
+            ]
+            assert contact_pairs(out) == expected
+
 
 class TestObjective:
     def test_known_solutions(self):
@@ -119,6 +135,27 @@ class TestObjective:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             objective_value("101", "222")
+
+    def test_rejects_non_ternary_turns(self):
+        with pytest.raises(ValueError, match="ternary"):
+            objective_value("101", "23")
+
+    def test_longest_supported_chain(self):
+        # a U-fold of two columns of m all-H beads: m - 1 rungs are contacts
+        m = MAX_BEADS // 2
+        turns = "2" * (m - 1) + "11" + "2" * (m - 2)
+        assert len(turns) == MAX_BEADS - 1
+        assert objective_value("1" * MAX_BEADS, turns) == -(m - 1)
+
+    def test_chains_past_the_packing_bound_are_rejected(self):
+        # this feasible 131,074-bead U-fold wraps the packed lattice points
+        # and would otherwise score as a collision
+        m = (1 << 16) + 1
+        turns = "2" * (m - 1) + "11" + "2" * (m - 2)
+        with pytest.raises(ValueError, match="not supported"):
+            objective_value("1" * (2 * m), turns)
+        with pytest.raises(ValueError, match="not supported"):
+            decode_fold(turns)
 
     def test_default_penalty_grading(self):
         # earlier first collision and extra collisions both score worse
@@ -171,6 +208,11 @@ class TestMakeProblem:
     def test_positive_target_rejected(self):
         with pytest.raises(ValueError):
             make_problem("C", n=10, weight_target=4, energy_target=1)
+
+    def test_chain_length_bound(self):
+        assert make_problem("C", n=MAX_BEADS, weight_target=4, energy_target=-4).n == MAX_BEADS
+        with pytest.raises(ValueError):
+            make_problem("C", n=MAX_BEADS + 1, weight_target=4, energy_target=-4)
 
     def test_weight_cap_override(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4, weight_cap=6)
@@ -291,20 +333,14 @@ class TestSpiralInstance:
 
 class TestFoldSymmetries:
     def test_rotation_invariance(self):
-        # re-derive every energy with the heading along +x instead of +y
+        # the first turn digit only orients the whole fold on the grid, so its
+        # three variants score alike; canonical_turns relies on this
         rng = random.Random(8)
         for _ in range(1000):
             bits = tuple(rng.randrange(2) for _ in range(8))
             turns = tuple(rng.randrange(3) for _ in range(7))
-            base = objective_value(bits, turns)
-            points, first, collisions = _fold_points(turns, dx=1, dy=0)
-            if collisions:
-                rotated = default_penalty(8, first, collisions)
-            else:
-                from sawalk.hpfold import _contact_count
-
-                rotated = -_contact_count(points, bits)
-            assert rotated == base
+            values = {objective_value(bits, (d, *turns[1:])) for d in (0, 1, 2)}
+            assert len(values) == 1
 
     def test_mirror_symmetry(self):
         # swapping left and right turns reflects the fold: same objective

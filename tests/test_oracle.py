@@ -7,7 +7,6 @@ from sawalk.hpfold import make_problem, objective_value, target_energy
 from sawalk.mixedradix import SpaceTooLargeError
 from sawalk.oracle import (
     OracleReport,
-    count_at_or_below,
     domain_size,
     enumerate_optimum,
     merge_reports,
@@ -103,16 +102,16 @@ class TestScanAgainstDirectEvaluation:
 class TestCountAtOrBelow:
     def test_threshold_infinity_is_domain_size(self, plan_c_small):
         problem, report = plan_c_small
-        assert count_at_or_below(problem, float("inf"), report=report) == domain_size(problem)
+        assert report.count_at_or_below(float("inf")) == domain_size(problem)
 
     def test_minimum_counts_rotation_closure_of_argmin(self, plan_c_small):
         problem, report = plan_c_small
-        raw = count_at_or_below(problem, report.min_value, report=report)
+        raw = report.count_at_or_below(report.min_value)
         assert raw == 3 * len(report.argmin)
 
     def test_monotone_in_threshold(self, plan_c_small):
         problem, report = plan_c_small
-        counts = [count_at_or_below(problem, t, report=report) for t in range(-3, 3)]
+        counts = [report.count_at_or_below(t) for t in range(-3, 3)]
         assert counts == sorted(counts)
 
 
@@ -136,6 +135,14 @@ class TestShardingAndCheckpoints:
             for lo in range(0, size, step)
         ]
         assert merge_reports(parts[::-1]) == whole
+
+    def test_unpicklable_penalty_fails_before_the_pool(self):
+        problem = make_problem(
+            "C", n=6, weight_target=3, energy_target=-1, penalty=lambda n, first, count: 1
+        )
+        with pytest.raises(ValueError, match="penalty"):
+            enumerate_optimum(problem, workers=2)
+        assert enumerate_optimum(problem).evaluations == domain_size(problem)
 
     def test_parallel_workers_match_serial(self):
         problem = make_problem("C", n=6, weight_target=3, energy_target=-1)
@@ -181,6 +188,14 @@ class TestReportSerialization:
         text = "# note\nevaluations = 3\nmin-value = 0\ncount[0] = 3\n"
         report = parse_report(text)
         assert report.evaluations == 3 and report.histogram == {0: 3}
+
+    def test_parse_checks_threshold_counts(self, plan_c_small):
+        _, report = plan_c_small
+        count = report.count_at_or_below(-1)
+        text = report_text(report) + f"count-at-or-below[-1] = {count}\n"
+        assert parse_report(text) == report
+        with pytest.raises(ValueError, match="count-at-or-below"):
+            parse_report(report_text(report) + f"count-at-or-below[-1] = {count + 1}\n")
 
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
