@@ -39,7 +39,6 @@ from sawalk.mixedradix import (
     rank_distance,
 )
 from sawalk.oracle import OracleReport, enumerate_optimum
-from sawalk.render import render_conformation
 
 __all__ = [
     "Coordinate",
@@ -67,7 +66,6 @@ __all__ = [
     "parse_spec",
     "random_coordinate",
     "rank_distance",
-    "render_conformation",
     "run_experiment",
     "run_search",
     "spiral_instance",

@@ -21,9 +21,8 @@ from sawalk.harness import (
     ExperimentConfig,
     RunRow,
     aggregate,
-    experiment_json,
     improving_campaign,
-    rows_csv,
+    result_text,
     run_experiment,
 )
 from sawalk.hpfold import make_problem
@@ -88,10 +87,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"(probes {row.cnt_probe}, steps {row.walk_length}, restarts {result.restarts})"
     )
     if args.out:
-        text = rows_csv([row]) if args.format == "csv" else experiment_json(
-            aggregate(ExperimentConfig(problem, sample_size=1), [row]), [row]
-        )
-        Path(args.out).write_text(text)
+        single = ExperimentConfig(problem, sample_size=1)
+        Path(args.out).write_text(result_text(single, [row], args.format))
     return 1 if row.is_censored else 0
 
 
@@ -104,18 +101,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         probe_limit=args.probe_limit,
         buffer_capacity=args.buffer_capacity,
         parallelism=args.parallelism,
-        out_path=args.out,
-        out_format=args.format,
     )
     if args.improve:
         bound, rows = improving_campaign(config)
         summary = aggregate(config, rows)
-        if config.out_path:
-            text = rows_csv(rows) if args.format == "csv" else experiment_json(summary, rows)
-            Path(config.out_path).write_text(text)
         print(f"final bound {bound} after {len(rows)} runs")
     else:
         summary, rows = run_experiment(config)
+    if args.out:
+        Path(args.out).write_text(result_text(config, rows, args.format))
     print(f"runs {summary.sample_size}  censored {summary.censored_count}")
     print(f"unique solutions {summary.unique_solutions}  beyond target {summary.beyond_target}")
     for name, metric in (
@@ -197,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
     experiment.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT)
     experiment.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
-    experiment.add_argument("--parallelism", type=int, default=1)
+    experiment.add_argument("--parallelism", type=int, default=1, help="worker processes (ignored with --improve)")
     experiment.add_argument("--improve", action="store_true", help="ratchet a shared bound across runs")
     experiment.add_argument("--out", help="write result rows to this file")
     experiment.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -109,13 +109,10 @@ class SearchConfig:
     seed: int = DEFAULT_SEED
     probe_limit: int = DEFAULT_PROBE_LIMIT
     buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
-    mode: str = "fixed-target"  # or "bound-improving"
 
     def __post_init__(self) -> None:
         if self.probe_limit < 1:
             raise ValueError("probe limit must be at least 1")
-        if self.mode not in ("fixed-target", "bound-improving"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -217,21 +214,17 @@ def saw_step(
 def run_search(
     config: SearchConfig,
     problem: SearchProblem,
-    rng: Optional[random.Random] = None,
-    bound: float = 0,
+    target: Optional[float] = None,
     observer: Optional[Observer] = None,
 ) -> SearchResult:
     """Execute one walk until the stop test passes or the probe budget ends.
 
-    In fixed-target mode the problem's own target is in force; in
-    bound-improving mode the caller's current ``bound`` replaces it, so a
-    sequence of runs can ratchet the bound downward.  The initial pivot
-    counts as probe 1 and may already satisfy the stop test (walk length 0).
+    The stop test holds the problem's own target unless ``target`` replaces
+    it, which lets a sequence of runs ratchet a shared bound downward.  The
+    initial pivot counts as probe 1 and may already satisfy the stop test
+    (walk length 0).
     """
-    if rng is None:
-        rng = random.Random(config.seed)
-    target = bound if config.mode == "bound-improving" else None
-
+    rng = random.Random(config.seed)
     pivot = problem.random_coordinate(rng)
     value = problem.objective(pivot)
     probe_count = 1

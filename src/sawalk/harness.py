@@ -17,9 +17,8 @@ import io
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional, Sequence
 
 from sawalk.engine import (
     DEFAULT_BUFFER_CAPACITY,
@@ -29,12 +28,7 @@ from sawalk.engine import (
     SearchResult,
     run_search,
 )
-from sawalk.hpfold import (
-    HPProblem,
-    _require_picklable_penalty,
-    canonical_turns,
-    digits_text,
-)
+from sawalk.hpfold import HPProblem, _require_picklable_penalty, digits_text
 
 CSV_COLUMNS = ("seed", "coordB", "coordT", "value", "cntProbe", "walkLength", "probesPerStep", "isCensored")
 
@@ -112,14 +106,10 @@ class ExperimentConfig:
     probe_limit: int = DEFAULT_PROBE_LIMIT
     buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
     parallelism: int = 1
-    out_path: Optional[Union[str, Path]] = None
-    out_format: str = "csv"
 
     def __post_init__(self) -> None:
         if self.sample_size < 1:
             raise ValueError("sample size must be at least 1")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
 
 
 @dataclass(frozen=True)
@@ -133,14 +123,14 @@ class ExperimentStats:
     probes_per_step: Optional[MetricStats]  # over runs that took at least one step
 
 
-def run_one(config: ExperimentConfig, index: int) -> RunRow:
-    """Execute run ``index`` of the campaign."""
+def run_one(config: ExperimentConfig, index: int, target: Optional[int] = None) -> RunRow:
+    """Execute run ``index`` of the campaign; ``target`` replaces the problem's."""
     search = SearchConfig(
         seed=derive_seed(config.base_seed, index),
         probe_limit=config.probe_limit,
         buffer_capacity=config.buffer_capacity,
     )
-    return RunRow.from_result(run_search(search, config.problem), config.problem.n)
+    return RunRow.from_result(run_search(search, config.problem, target), config.problem.n)
 
 
 def run_rows(config: ExperimentConfig, indices: Optional[Iterable[int]] = None) -> list[RunRow]:
@@ -161,14 +151,6 @@ def _row_task(item: tuple[ExperimentConfig, int]) -> RunRow:
     return run_one(config, index)
 
 
-def solution_identity(problem: HPProblem, row: RunRow) -> tuple[str, str]:
-    """Uniqueness key of a solved row: searched folds rotation-canonicalized."""
-    turns = row.coord_t
-    if problem.plan != "B":
-        turns = digits_text(canonical_turns(turns))
-    return row.coord_b, turns
-
-
 def aggregate(config: ExperimentConfig, rows: Sequence[RunRow]) -> ExperimentStats:
     """Campaign statistics over collected rows.
 
@@ -176,9 +158,10 @@ def aggregate(config: ExperimentConfig, rows: Sequence[RunRow]) -> ExperimentSta
     solutions or beyond-target; zero-step runs are left out of the
     probes-per-step statistics.
     """
+    problem = config.problem
     solved = [row for row in rows if not row.is_censored]
-    unique = {solution_identity(config.problem, row) for row in solved}
-    target = config.problem.energy_target
+    unique = {problem.solution_key(problem.coordinate(row.coord_b, row.coord_t)) for row in solved}
+    target = problem.energy_target
     stepped = [row.probes_per_step for row in rows if row.walk_length > 0]
     return ExperimentStats(
         sample_size=len(rows),
@@ -192,16 +175,9 @@ def aggregate(config: ExperimentConfig, rows: Sequence[RunRow]) -> ExperimentSta
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ExperimentStats, list[RunRow]]:
-    """Run the whole campaign, optionally writing the configured output file."""
+    """Run the whole campaign; its statistics and rows."""
     rows = run_rows(config)
-    summary = aggregate(config, rows)
-    if config.out_path is not None:
-        path = Path(config.out_path)
-        if config.out_format == "json":
-            path.write_text(experiment_json(summary, rows))
-        else:
-            path.write_text(rows_csv(rows))
-    return summary, rows
+    return aggregate(config, rows), rows
 
 
 def improving_campaign(config: ExperimentConfig) -> tuple[int, list[RunRow]]:
@@ -214,16 +190,10 @@ def improving_campaign(config: ExperimentConfig) -> tuple[int, list[RunRow]]:
     bound = 0
     rows: list[RunRow] = []
     for index in range(config.sample_size):
-        search = SearchConfig(
-            seed=derive_seed(config.base_seed, index),
-            probe_limit=config.probe_limit,
-            buffer_capacity=config.buffer_capacity,
-            mode="bound-improving",
-        )
-        result = run_search(search, config.problem, bound=bound)
-        rows.append(RunRow.from_result(result, config.problem.n))
-        if not result.is_censored and result.value < bound:
-            bound = result.value
+        row = run_one(config, index, bound)
+        rows.append(row)
+        if not row.is_censored and row.value < bound:
+            bound = row.value
     return bound, rows
 
 
@@ -271,18 +241,6 @@ def parse_rows_csv(text: str) -> list[RunRow]:
     return rows
 
 
-def _metric_dict(metric: Optional[MetricStats]) -> Optional[dict]:
-    if metric is None:
-        return None
-    return {
-        "median": metric.median,
-        "mean": metric.mean,
-        "stdev": metric.stdev,
-        "min": metric.min,
-        "max": metric.max,
-    }
-
-
 def experiment_json(summary: ExperimentStats, rows: Sequence[RunRow]) -> str:
     payload = {
         "stats": {
@@ -290,9 +248,9 @@ def experiment_json(summary: ExperimentStats, rows: Sequence[RunRow]) -> str:
             "censoredCount": summary.censored_count,
             "uniqueSolutions": summary.unique_solutions,
             "beyondTarget": summary.beyond_target,
-            "walkLength": _metric_dict(summary.walk_length),
-            "cntProbe": _metric_dict(summary.cnt_probe),
-            "probesPerStep": _metric_dict(summary.probes_per_step),
+            "walkLength": asdict(summary.walk_length),
+            "cntProbe": asdict(summary.cnt_probe),
+            "probesPerStep": asdict(summary.probes_per_step) if summary.probes_per_step else None,
         },
         "rows": [
             {
@@ -309,3 +267,12 @@ def experiment_json(summary: ExperimentStats, rows: Sequence[RunRow]) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def result_text(config: ExperimentConfig, rows: Sequence[RunRow], fmt: str) -> str:
+    """Text of a result file: the CSV table, or the JSON statistics and rows."""
+    if fmt == "csv":
+        return rows_csv(rows)
+    if fmt == "json":
+        return experiment_json(aggregate(config, rows), rows)
+    raise ValueError(f"unknown output format {fmt!r}")

@@ -347,9 +347,10 @@ def make_problem(
 
     Plan A requires the binary segment (its weight becomes the target
     weight), plan B the ternary segment plus a weight target, and plan C
-    fixes neither.  The weight cap defaults to one above the target.  The
-    energy target is never checked for achievability; unreachable targets
-    simply leave runs censored.
+    fixes neither; a segment the plan searches may not be fixed.  The
+    weight cap defaults to one above the target.  The energy target is
+    never checked for achievability; unreachable targets simply leave runs
+    censored.
     """
     plan = plan.strip().upper()
     if plan not in PLANS:
@@ -361,6 +362,8 @@ def make_problem(
     if plan == "A":
         if fixed_b is None:
             raise ValueError("plan A requires the binary segment")
+        if fixed_t is not None:
+            raise ValueError("plan A searches the fold and admits no ternary segment")
         if n is None:
             n = len(fixed_b)
         w = weight(fixed_b)
@@ -370,6 +373,8 @@ def make_problem(
     elif plan == "B":
         if fixed_t is None:
             raise ValueError("plan B requires the ternary segment")
+        if fixed_b is not None:
+            raise ValueError("plan B searches the colors and admits no binary segment")
         if n is None:
             n = len(fixed_t) + 1
         if weight_target is None:

@@ -218,6 +218,8 @@ def random_coordinate(
     is uniform over binary strings of exactly that many ones (a uniform
     weight-subset of positions); all other segments stay uniform.
     """
+    if weight is not None and not 0 <= weight_segment < len(spec.segments):
+        raise ValueError(f"no segment {weight_segment} in a {len(spec.segments)}-segment space")
     digits: list[int] = []
     for index, (base, length) in enumerate(spec.segments):
         if weight is not None and index == weight_segment:

@@ -9,24 +9,21 @@ resume from a checkpoint and merge associatively:
 
     flat index = ternary_index * (number of binaries) + binary_index
 
-where ternary strings count in odometer order (rightmost digit fastest) and
-weight-w binaries follow itertools.combinations of the one-positions.
+where ternary strings follow itertools.product order (rightmost digit
+fastest) and weight-w binaries follow itertools.combinations of the
+one-positions.  Checkpoints are a library feature: scan a slice with
+``enumerate_optimum(start=, count=)`` and combine slices with
+``merge_reports``.  The CLI always scans the whole domain.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, product
 from math import comb
 from typing import Optional
 
-from sawalk.hpfold import (
-    HPProblem,
-    _fold_analysis,
-    _require_picklable_penalty,
-    canonical_turns,
-    digits_text,
-)
+from sawalk.hpfold import HPProblem, _fold_analysis, _require_picklable_penalty
 from sawalk.mixedradix import SpaceTooLargeError
 
 DEFAULT_DOMAIN_CAP = 10**8
@@ -97,28 +94,18 @@ def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
     binaries = _binaries(problem)
     num_b = len(binaries)
     masks = [sum(1 << i for i, b in enumerate(bits) if b) for bits in binaries]
-
     if problem.plan == "B":
-        ternaries: Optional[list[tuple[int, ...]]] = [problem.fixed_ternary]
+        ternaries = [problem.fixed_ternary]
     else:
-        ternaries = None  # odometer over all 3**(n-1) strings
+        ternaries = product(range(3), repeat=n - 1)
 
     histogram: dict[int, int] = {}
     min_value: Optional[int] = None
-    argmin: set[tuple[int, int]] = set()  # (binary index, ternary index)
-    evaluations = 0
+    argmin: set[tuple[int, tuple[int, ...]]] = set()  # (binary index, turns)
 
     t_idx, b_offset = divmod(start, num_b)
     remaining = stop - start
-    if ternaries is None:
-        turns = [0] * (n - 1)
-        rest = t_idx
-        for pos in range(n - 2, -1, -1):
-            rest, turns[pos] = divmod(rest, 3)
-    else:
-        turns = list(ternaries[t_idx])
-
-    while remaining > 0:
+    for turns in islice(ternaries, t_idx, None):
         span = min(num_b - b_offset, remaining)
         first, collisions, pairs = analyse(turns)
         if not collisions:
@@ -131,7 +118,7 @@ def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
                     if min_value is None or value < min_value:
                         min_value = value
                         argmin.clear()
-                    argmin.add((b_idx, t_idx))
+                    argmin.add((b_idx, turns))
         else:
             value = penalty(n, first, collisions)
             histogram[value] = histogram.get(value, 0) + span
@@ -139,36 +126,18 @@ def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
                 if min_value is None or value < min_value:
                     min_value = value
                     argmin.clear()
-                argmin.update((b, t_idx) for b in range(b_offset, b_offset + span))
-        evaluations += span
+                argmin.update((b, turns) for b in range(b_offset, b_offset + span))
         remaining -= span
+        if not remaining:
+            break
         b_offset = 0
-        t_idx += 1
-        if remaining > 0 and ternaries is None:
-            for pos in range(n - 2, -1, -1):  # odometer increment
-                turns[pos] += 1
-                if turns[pos] < 3:
-                    break
-                turns[pos] = 0
 
-    def text_pair(b_idx: int, t_idx_: int) -> tuple[str, str]:
-        if ternaries is None:
-            digits = []
-            rest = t_idx_
-            for _ in range(n - 1):
-                rest, d = divmod(rest, 3)
-                digits.append(d)
-            # searched folds are reported rotation-canonically, so the three
-            # re-orientations of one conformation collapse to one minimizer
-            turn_text = digits_text(canonical_turns(tuple(reversed(digits))))
-        else:
-            turn_text = digits_text(ternaries[t_idx_])
-        return digits_text(binaries[b_idx]), turn_text
-
+    # solution keys collapse the re-orientations of one searched fold
+    keys = {problem.solution_key(problem.coordinate(binaries[b], turns)) for b, turns in argmin}
     return OracleReport(
         min_value=min_value if min_value is not None else 0,
-        argmin=tuple(sorted({text_pair(b, t) for b, t in argmin})),
-        evaluations=evaluations,
+        argmin=tuple(sorted(keys)),
+        evaluations=stop - start - remaining,
         histogram=histogram,
     )
 

@@ -6,8 +6,6 @@ energy and weight annotation.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from sawalk.hpfold import (
     Digits,
     as_digits,
@@ -15,19 +13,6 @@ from sawalk.hpfold import (
     decode_fold,
     weight,
 )
-
-
-class Rendering(NamedTuple):
-    text: str
-    svg: str
-
-
-def render_conformation(coord_b: Digits, coord_t: Digits) -> Rendering:
-    """Both drawings of a feasible fold; infeasible folds are an error."""
-    return Rendering(
-        text=ascii_conformation(coord_b, coord_t),
-        svg=svg_conformation(coord_b, coord_t),
-    )
 
 
 def _fold_or_raise(coord_b: Digits, coord_t: Digits):

@@ -39,6 +39,12 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve"])
 
+    def test_segment_the_plan_searches_is_refused(self):
+        with pytest.raises(ValueError, match="ternary"):
+            main(
+                "solve --plan A --coord-b 1001001001 --coord-t 211011011 --target -4".split()
+            )
+
     def test_censored_exit_code(self, capsys):
         code = main(
             "solve --plan C --length 10 --weight 4 --target -4 --probe-limit 3".split()

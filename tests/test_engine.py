@@ -267,12 +267,11 @@ class TestRunSearch:
 
     def test_bound_improving_mode(self):
         problem = make_problem("C", n=10, weight_target=4, energy_target=-4)
-        config = SearchConfig(seed=3, mode="bound-improving")
-        res = run_search(config, problem, bound=0)
+        res = run_search(SearchConfig(seed=3), problem, target=0)
         assert not res.is_censored
         assert res.value <= 0
         assert sum(res.coordinate.digits[:10]) == 4
-        tighter = run_search(SearchConfig(seed=3, mode="bound-improving"), problem, bound=res.value - 1)
+        tighter = run_search(SearchConfig(seed=3), problem, target=res.value - 1)
         assert tighter.value <= res.value - 1 or tighter.is_censored
 
     def test_restart_draw_respects_weight_constraint(self):

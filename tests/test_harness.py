@@ -12,6 +12,7 @@ from sawalk.harness import (
     experiment_json,
     improving_campaign,
     parse_rows_csv,
+    result_text,
     rows_csv,
     run_experiment,
     run_rows,
@@ -169,15 +170,16 @@ class TestSerialization:
 
     def test_output_file_written(self, tmp_path):
         out = tmp_path / "rows.csv"
-        config = ExperimentConfig(plan_c(-3), sample_size=3, base_seed=2, out_path=out)
+        config = ExperimentConfig(plan_c(-3), sample_size=3, base_seed=2)
         summary, rows = run_experiment(config)
+        out.write_text(result_text(config, rows, "csv"))
         assert parse_rows_csv(out.read_text()) == rows
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(plan_c(), sample_size=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(plan_c(), out_format="xml")
+            result_text(ExperimentConfig(plan_c()), [], "xml")
 
 
 class TestMetricStatsShape:

@@ -197,6 +197,17 @@ class TestMakeProblem:
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
         assert p.fixed_binary is None and p.fixed_ternary is None
 
+    def test_plan_a_rejects_fixed_turns(self):
+        with pytest.raises(ValueError, match="ternary"):
+            make_problem("A", coord_b="1001001001", coord_t="211011011", energy_target=-4)
+
+    def test_plan_b_rejects_fixed_colors(self):
+        # not even binary, and the walk would ignore it anyway
+        with pytest.raises(ValueError, match="binary"):
+            make_problem(
+                "B", coord_b="1221001001", coord_t="211011011", weight_target=4, energy_target=-4
+            )
+
     def test_plan_c_rejects_fixed_segments(self):
         with pytest.raises(ValueError):
             make_problem("C", n=10, weight_target=4, energy_target=-4, coord_b="1111000000")

@@ -168,6 +168,12 @@ class TestRandomCoordinate:
         with pytest.raises(ValueError):
             random_coordinate(RadixSpec(((2, 3),)), random.Random(0), weight=4)
 
+    def test_weight_segment_must_exist(self):
+        spec = RadixSpec(((2, 4), (3, 2)))
+        for segment in (2, 5, -1):
+            with pytest.raises(ValueError, match="segment"):
+                random_coordinate(spec, random.Random(0), weight=2, weight_segment=segment)
+
     def test_weight_needs_binary_segment(self):
         with pytest.raises(ValueError):
             random_coordinate(RadixSpec(((3, 4),)), random.Random(0), weight=2)

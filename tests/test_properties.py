@@ -1,4 +1,5 @@
 """Cross-cutting invariants, checked by property search and exhaustion."""
+import json
 import random
 from itertools import product
 
@@ -7,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawalk.engine import SearchConfig, run_search
+from sawalk.harness import (
+    CSV_COLUMNS,
+    ExperimentConfig,
+    RunRow,
+    parse_rows_csv,
+    result_text,
+    rows_csv,
+)
 from sawalk.hpfold import (
     decode_fold,
     make_problem,
     objective_value,
     target_energy,
 )
+from sawalk.instances import instance_text, parse_instances
 from sawalk.mixedradix import (
     Coordinate,
     RadixSpec,
@@ -21,6 +31,7 @@ from sawalk.mixedradix import (
     parse_coordinate,
     rank_distance,
 )
+from sawalk.oracle import OracleReport, parse_report, report_text
 
 small_specs = st.lists(
     st.tuples(st.integers(2, 5), st.integers(1, 4)),
@@ -185,3 +196,82 @@ class TestStreamIndependence:
         random.random()
         after = run_search(SearchConfig(seed=77), problem)
         assert before == after
+
+
+def segment_text(base, length):
+    return st.text(alphabet="0123"[:base], min_size=length, max_size=length)
+
+
+@st.composite
+def problems(draw):
+    plan = draw(st.sampled_from("ABC"))
+    n = draw(st.integers(3, 16))
+    energy = draw(st.integers(-12, 0))
+    if plan == "A":
+        colors = draw(segment_text(2, n))
+        weight = colors.count("1")
+        return make_problem(
+            "A",
+            coord_b=colors,
+            energy_target=energy,
+            weight_cap=draw(st.none() | st.integers(weight, n + 1)),
+        )
+    weight = draw(st.integers(0, n))
+    fixed = {"coord_t": draw(segment_text(3, n - 1))} if plan == "B" else {"n": n}
+    return make_problem(
+        plan,
+        weight_target=weight,
+        energy_target=energy,
+        weight_cap=draw(st.none() | st.integers(weight, n + 1)),
+        **fixed,
+    )
+
+
+def run_rows_of(n):
+    row = st.builds(
+        RunRow,
+        seed=st.integers(0, 2**64 - 1),
+        coord_b=segment_text(2, n),
+        coord_t=segment_text(3, n - 1),
+        value=st.integers(-20, 40),
+        cnt_probe=st.integers(1, 2**40),
+        walk_length=st.integers(0, 2**30),
+        probes_per_step=st.floats(0, 1e9, allow_nan=False),
+        is_censored=st.booleans(),
+    )
+    return st.lists(row, min_size=1, max_size=8)
+
+
+class TestFormatRoundTrips:
+    @given(
+        st.builds(
+            OracleReport,
+            min_value=st.integers(-30, 30),
+            argmin=st.lists(
+                st.tuples(segment_text(2, 6), segment_text(3, 5)), unique=True, max_size=6
+            ).map(lambda pairs: tuple(sorted(pairs))),
+            evaluations=st.integers(0, 10**12),
+            histogram=st.dictionaries(st.integers(-30, 30), st.integers(0, 10**9), max_size=8),
+        )
+    )
+    def test_report_text_reads_back(self, report):
+        assert parse_report(report_text(report)) == report
+
+    @given(problems())
+    def test_instance_text_reads_back(self, problem):
+        assert parse_instances(instance_text(problem)) == [problem]
+
+    @given(run_rows_of(6))
+    def test_rows_csv_reads_back(self, rows):
+        assert parse_rows_csv(rows_csv(rows)) == rows
+
+    @given(run_rows_of(6))
+    def test_json_result_reads_back(self, rows):
+        config = ExperimentConfig(make_problem("C", n=6, weight_target=3, energy_target=-2))
+        payload = json.loads(result_text(config, rows, "json"))
+        assert payload["stats"]["sampleSize"] == len(rows)
+        assert [tuple(record) for record in payload["rows"]] == [CSV_COLUMNS] * len(rows)
+        assert [tuple(record.values()) for record in payload["rows"]] == [
+            (r.seed, r.coord_b, r.coord_t, r.value, r.cnt_probe, r.walk_length, r.probes_per_step, int(r.is_censored))
+            for r in rows
+        ]

@@ -1,6 +1,6 @@
 import pytest
 
-from sawalk.render import ascii_conformation, render_conformation, svg_conformation
+from sawalk.render import ascii_conformation, svg_conformation
 
 
 class TestAscii:
@@ -48,10 +48,3 @@ class TestSvg:
         a = svg_conformation("1001001001", "200100100")
         b = svg_conformation("1001001001", "200100100")
         assert a == b
-
-
-class TestCombined:
-    def test_render_conformation_pairs_both(self):
-        rendering = render_conformation("1001001001", "211011011")
-        assert rendering.text == ascii_conformation("1001001001", "211011011")
-        assert rendering.svg == svg_conformation("1001001001", "211011011")
