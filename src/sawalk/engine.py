@@ -76,25 +76,32 @@ class FunctionProblem:
 class VisitedBuffer:
     """Insertion-ordered set of pivots with FIFO eviction past capacity.
 
-    Membership is exact for everything retained; once the buffer overflows,
-    the oldest pivots are forgotten first and may be walked again later.
+    Pivots are keyed by their digit tuple, which hashes in C, so one buffer
+    serves coordinates of one space.  Membership is exact for everything
+    retained; once the buffer overflows, the oldest pivots are forgotten
+    first and may be walked again later.  Adding a retained pivot again does
+    not refresh its age.
     """
 
     def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         self.capacity = capacity
-        self._entries: OrderedDict[Coordinate, None] = OrderedDict()
+        # an OrderedDict evicts its oldest key in O(1); a plain dict's
+        # next(iter(d)) rescans the slots freed by earlier evictions
+        self._entries: OrderedDict[tuple[int, ...], None] = OrderedDict()
 
     def add(self, coord: Coordinate) -> None:
-        if coord in self._entries:
+        entries = self._entries
+        key = coord.digits
+        if key in entries:
             return
-        self._entries[coord] = None
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries[key] = None
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
 
     def __contains__(self, coord: Coordinate) -> bool:
-        return coord in self._entries
+        return coord.digits in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -164,6 +171,7 @@ def best_neighbor(
     """
     candidates = problem.admissible_neighbors(pivot)
     order = permuted_indices(len(candidates), rng)
+    objective = problem.objective
     best = None
     best_value = 0.0
     probes = 0
@@ -171,7 +179,7 @@ def best_neighbor(
         coord = candidates[i]
         if coord in visited:
             continue
-        value = problem.objective(coord)
+        value = objective(coord)
         probes += 1
         if best is None or value < best_value:
             best, best_value = coord, value

@@ -45,12 +45,16 @@ def digits_text(digits: Sequence[int]) -> str:
     return "".join(str(d) for d in digits)
 
 
-def weight(binary: Digits) -> int:
-    """Number of H beads (1-digits) in a binary segment."""
+def _color_digits(binary: Digits) -> tuple[int, ...]:
     bits = as_digits(binary)
     if any(b not in (0, 1) for b in bits):
-        raise ValueError("weight expects a binary segment")
-    return sum(bits)
+        raise ValueError("color encoding must be binary digits")
+    return bits
+
+
+def weight(binary: Digits) -> int:
+    """Number of H beads (1-digits) in a binary segment."""
+    return sum(_color_digits(binary))
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,9 @@ def _trace(turns: Sequence[int]) -> list[int]:
     return points
 
 
+# 1 << 16 entries hold all 3**9 = 19,683 folds of a 10-bead chain, which a
+# serial n=10 campaign revisits run after run; 4096 entries would still serve
+# an n=20 colour walk but drop that campaign from 98% to 87% hits
 @lru_cache(maxsize=1 << 16)
 def _fold_analysis(turns: tuple[int, ...]) -> tuple[Optional[int], int, tuple[tuple[int, int], ...]]:
     """The one fold record: (first collision, collision count, contact pairs).
@@ -150,14 +157,18 @@ def decode_fold(ternary: Digits) -> FoldOutcome:
 
 
 def _hh_count(pairs: Sequence[tuple[int, int]], bits: Sequence[int]) -> int:
-    return sum(1 for i, j in pairs if bits[i] and bits[j])
+    count = 0
+    for i, j in pairs:
+        if bits[i] and bits[j]:
+            count += 1
+    return count
 
 
 def contacts(outcome: FoldOutcome, binary: Digits) -> int:
     """Count H-H pairs that are lattice-adjacent but not chain-consecutive."""
     if not outcome.feasible:
         raise ValueError("contacts are defined only for feasible folds")
-    bits = as_digits(binary)
+    bits = _color_digits(binary)
     if len(bits) != len(outcome.positions):
         raise ValueError(
             f"binary segment has {len(bits)} digits for a {len(outcome.positions)}-bead fold"
@@ -197,7 +208,7 @@ def objective_value(
     penalty: PenaltyFn = default_penalty,
 ) -> int:
     """Energy of a feasible fold (-contacts) or its infeasibility penalty."""
-    bits = as_digits(coord_b)
+    bits = _color_digits(coord_b)
     turns = _turn_digits(coord_t)
     n = len(bits)
     if len(turns) != n - 1:
@@ -260,6 +271,7 @@ class HPProblem:
         return coord.digits[: self.n], coord.digits[self.n :]
 
     def objective(self, coord: Coordinate) -> int:
+        # unchecked: coordinates were validated when they were built
         bits = coord.digits
         n = self.n
         first, collisions, pairs = _fold_analysis(bits[n:])
@@ -268,32 +280,36 @@ class HPProblem:
         return -_hh_count(pairs, bits)
 
     def admissible_neighbors(self, coord: Coordinate) -> list[Coordinate]:
-        """Distance-1 moves the plan admits, position-major order."""
+        """Distance-1 moves the plan admits, position-major, -1 before +1.
+
+        The engine's random permutation indexes into this list, so its order
+        is part of every walk's behaviour.
+        """
         digits = coord.digits
         n = self.n
         spec = self.spec
+        make = Coordinate._unchecked
+        scratch = list(digits)
         result: list[Coordinate] = []
+        append = result.append
         if self.plan in ("B", "C"):
-            current = sum(digits[:n])
+            below_cap = sum(digits[:n]) < self.weight_cap
             for i in range(n):
-                if digits[i]:
-                    flipped = digits[:i] + (0,) + digits[i + 1 :]
-                elif current + 1 <= self.weight_cap:
-                    flipped = digits[:i] + (1,) + digits[i + 1 :]
-                else:
-                    continue
-                result.append(Coordinate._unchecked(spec, flipped))
+                d = digits[i]
+                if d or below_cap:
+                    scratch[i] = 1 - d
+                    append(make(spec, tuple(scratch)))
+                    scratch[i] = d
         if self.plan in ("A", "C"):
             for i in range(n, 2 * n - 1):
                 d = digits[i]
                 if d > 0:
-                    result.append(
-                        Coordinate._unchecked(spec, digits[:i] + (d - 1,) + digits[i + 1 :])
-                    )
+                    scratch[i] = d - 1
+                    append(make(spec, tuple(scratch)))
                 if d < 2:
-                    result.append(
-                        Coordinate._unchecked(spec, digits[:i] + (d + 1,) + digits[i + 1 :])
-                    )
+                    scratch[i] = d + 1
+                    append(make(spec, tuple(scratch)))
+                scratch[i] = d
         return result
 
     def is_solution(self, coord: Coordinate, value: int, target: Optional[int] = None) -> bool:

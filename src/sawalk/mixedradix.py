@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 _DIGIT_CHARS = string.digits + string.ascii_lowercase  # text form supports bases up to 36
+_new_object = object.__new__
 
 
 class SpaceTooLargeError(ValueError):
@@ -116,10 +117,12 @@ class Coordinate:
 
     @classmethod
     def _unchecked(cls, spec: RadixSpec, digits: tuple[int, ...]) -> "Coordinate":
-        # fast path for callers that construct digits known to be valid
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "spec", spec)
-        object.__setattr__(obj, "digits", digits)
+        # fast path for callers that construct digits known to be valid; the
+        # fields go straight into the instance dict, past the frozen __setattr__
+        obj = _new_object(cls)
+        fields = obj.__dict__
+        fields["spec"] = spec
+        fields["digits"] = digits
         return obj
 
     def segment(self, index: int) -> tuple[int, ...]:

@@ -56,6 +56,15 @@ class TestVisitedBuffer:
         buf.add(b)
         assert len(buf) == 2 and a in buf
 
+    def test_duplicate_add_keeps_age(self):
+        spec = RadixSpec(((5, 2),))
+        buf = VisitedBuffer(capacity=2)
+        a, b, c = (parse_coordinate(spec, t) for t in ("00", "01", "02"))
+        for coord in (a, b, a, c):
+            buf.add(coord)
+        assert a not in buf
+        assert b in buf and c in buf
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             VisitedBuffer(capacity=0)

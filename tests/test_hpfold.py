@@ -15,7 +15,7 @@ from sawalk.hpfold import (
     target_energy,
     weight,
 )
-from sawalk.mixedradix import rank_distance
+from sawalk.mixedradix import neighbors, rank_distance
 
 
 class TestWeight:
@@ -86,6 +86,10 @@ class TestContacts:
         with pytest.raises(ValueError):
             contacts(decode_fold("22"), "11")
 
+    def test_rejects_non_binary_colors(self):
+        with pytest.raises(ValueError, match="binary"):
+            contacts(decode_fold("211011011"), "3003003003")
+
     def test_contact_pairs_skip_consecutive(self):
         pairs = contact_pairs(decode_fold("200100100"))
         assert all(j > i + 1 for i, j in pairs)
@@ -139,6 +143,11 @@ class TestObjective:
     def test_rejects_non_ternary_turns(self):
         with pytest.raises(ValueError, match="ternary"):
             objective_value("101", "23")
+
+    @pytest.mark.parametrize("colors", ["2002002002", "z00z00z00z"])
+    def test_rejects_non_binary_colors(self, colors):
+        with pytest.raises(ValueError, match="binary"):
+            objective_value(colors, "211011011")
 
     def test_longest_supported_chain(self):
         # a U-fold of two columns of m all-H beads: m - 1 rungs are contacts
@@ -259,6 +268,36 @@ class TestPlanMoves:
         assert len(binary_moves) + len(ternary_moves) == len(moves)
         assert len(binary_moves) == 10  # weight 4 < cap: every flip admissible
         assert max(self._weights(p, binary_moves)) <= p.weight_cap
+
+    @staticmethod
+    def _admits(problem, pivot, move):
+        """The plan's move rule, stated on a candidate from mixedradix.neighbors."""
+        n = problem.n
+        i = next(k for k, (a, b) in enumerate(zip(pivot.digits, move.digits)) if a != b)
+        if i >= n:
+            return problem.plan != "B"
+        w = sum(move.digits[:n])
+        return problem.plan != "A" and (w <= problem.weight_cap or w < sum(pivot.digits[:n]))
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            make_problem("A", coord_b="1001001001", energy_target=-4),
+            make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4),
+            make_problem("C", n=10, weight_target=4, energy_target=-4),
+            make_problem("C", n=10, weight_target=4, energy_target=-4, weight_cap=4),
+        ],
+        ids=["A", "B", "C", "C-at-cap"],
+    )
+    def test_order_matches_reference(self, problem):
+        # same coordinates in the same order: the walk's permutation indexes this list
+        rng = random.Random(7)
+        for _ in range(500):
+            pivot = problem.random_coordinate(rng)
+            moves = problem.admissible_neighbors(pivot)
+            for c in [pivot] + moves:
+                expected = [m for m in neighbors(c) if self._admits(problem, c, m)]
+                assert problem.admissible_neighbors(c) == expected
 
     def test_downward_weight_moves_always_allowed(self):
         p = make_problem("C", n=4, weight_target=2, energy_target=0, weight_cap=2)
