@@ -28,7 +28,7 @@ from sawalk.harness import (
 from sawalk.hpfold import make_problem
 from sawalk.instances import load_instances
 from sawalk.mixedradix import hasse_dot, hasse_stats, parse_spec
-from sawalk.oracle import enumerate_optimum, report_text
+from sawalk.oracle import DEFAULT_DOMAIN_CAP, enumerate_optimum, report_text
 from sawalk.render import ascii_conformation, svg_conformation
 
 
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="enumerate a small domain exhaustively")
     _add_problem_args(oracle)
-    oracle.add_argument("--domain-cap", type=int, default=10**8)
+    oracle.add_argument("--domain-cap", type=int, default=DEFAULT_DOMAIN_CAP)
     oracle.add_argument("--workers", type=int, default=1)
     oracle.add_argument("--threshold", type=int, help="also count pairs at or below this value")
     oracle.add_argument("--out", help="write the report to this file")

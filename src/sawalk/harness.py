@@ -110,6 +110,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.sample_size < 1:
             raise ValueError("sample size must be at least 1")
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
 
 
 @dataclass(frozen=True)

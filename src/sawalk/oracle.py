@@ -17,6 +17,7 @@ one-positions.  Checkpoints are a library feature: scan a slice with
 """
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice, product
@@ -84,6 +85,19 @@ def domain_size(problem: HPProblem) -> int:
     return binaries * ternaries
 
 
+def _score_colorings(
+    pairs: tuple[tuple[int, int], ...], masks: list[int], b_offset: int, span: int
+) -> tuple[Counter, int, list[int]]:
+    """Value counts, minimum and minimizing binary indices of one feasible fold."""
+    pair_masks = [(1 << i) | (1 << j) for i, j in pairs]
+    values = [
+        -sum(1 for m in pair_masks if mask & m == m)
+        for mask in masks[b_offset : b_offset + span]
+    ]
+    best = min(values)
+    return Counter(values), best, [b for b, v in enumerate(values, b_offset) if v == best]
+
+
 def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
     """Evaluate flat indices [start, stop) of the enumeration."""
     n = problem.n
@@ -102,31 +116,32 @@ def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
     histogram: dict[int, int] = {}
     min_value: Optional[int] = None
     argmin: set[tuple[int, tuple[int, ...]]] = set()  # (binary index, turns)
+    # A fold's colourings score alike whenever its contact pairs do, and the
+    # rotations and mirror images of a fold share its pairs: score each
+    # (pairs, colouring range) once.  The first and last fold of a slice may
+    # cover only part of the colourings, hence the range in the key.
+    scored: dict[tuple, tuple[Counter, int, list[int]]] = {}
 
     t_idx, b_offset = divmod(start, num_b)
     remaining = stop - start
     for turns in islice(ternaries, t_idx, None):
         span = min(num_b - b_offset, remaining)
         first, collisions, pairs = analyse(turns)
-        if not collisions:
-            pair_masks = [(1 << i) | (1 << j) for i, j in pairs]
-            for b_idx in range(b_offset, b_offset + span):
-                mask = masks[b_idx]
-                value = -sum(1 for m in pair_masks if mask & m == m)
-                histogram[value] = histogram.get(value, 0) + 1
-                if min_value is None or value <= min_value:
-                    if min_value is None or value < min_value:
-                        min_value = value
-                        argmin.clear()
-                    argmin.add((b_idx, turns))
-        else:
+        if collisions:
             value = penalty(n, first, collisions)
-            histogram[value] = histogram.get(value, 0) + span
-            if min_value is None or value <= min_value:
-                if min_value is None or value < min_value:
-                    min_value = value
-                    argmin.clear()
-                argmin.update((b, turns) for b in range(b_offset, b_offset + span))
+            counts, best, best_b = {value: span}, value, range(b_offset, b_offset + span)
+        else:
+            key = (pairs, b_offset, span)
+            if key not in scored:
+                scored[key] = _score_colorings(pairs, masks, b_offset, span)
+            counts, best, best_b = scored[key]
+        for value, count in counts.items():
+            histogram[value] = histogram.get(value, 0) + count
+        if min_value is None or best <= min_value:
+            if min_value is None or best < min_value:
+                min_value = best
+                argmin.clear()
+            argmin.update((b, turns) for b in best_b)
         remaining -= span
         if not remaining:
             break
@@ -153,8 +168,11 @@ def enumerate_optimum(
 
     Refuses domains larger than ``domain_cap`` rather than starting a scan
     that cannot finish.  With ``workers`` > 1 the index range is split into
-    contiguous chunks scanned in parallel and merged.
+    contiguous chunks scanned in parallel and merged; fewer than one worker
+    is refused.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     size = domain_size(problem)
     if size > domain_cap:
         raise SpaceTooLargeError(size, domain_cap)

@@ -54,6 +54,13 @@ class TestSolve:
 
 
 class TestExperiment:
+    def test_zero_parallelism_refused(self):
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+            main(
+                "experiment --plan B --coord-t 211011011 --weight 4 --target -4 "
+                "--seeds 2 --parallelism 0".split()
+            )
+
     def test_campaign_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(
@@ -111,6 +118,10 @@ class TestOracle:
             ("1001001001", "200100100"),
             ("1001001001", "211011011"),
         )
+
+    def test_zero_workers_refused(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            main("oracle --plan B --coord-t 211011011 --weight 4 --target -4 --workers 0".split())
 
     def test_domain_cap_refusal(self):
         with pytest.raises(Exception):

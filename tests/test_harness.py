@@ -181,6 +181,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             result_text(ExperimentConfig(plan_c()), [], "xml")
 
+    @pytest.mark.parametrize("parallelism", [0, -4])
+    def test_parallelism_below_one_is_refused(self, parallelism):
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+            ExperimentConfig(plan_c(), parallelism=parallelism)
+
 
 class TestMetricStatsShape:
     def test_aggregate_matches_manual_stats(self):

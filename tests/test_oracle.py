@@ -1,6 +1,8 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawalk.engine import SearchConfig, run_search
 from sawalk.hpfold import make_problem, objective_value, target_energy
@@ -19,6 +21,53 @@ from sawalk.oracle import (
 def plan_c_small():
     problem = make_problem("C", n=7, weight_target=3, energy_target=-2)
     return problem, enumerate_optimum(problem)
+
+
+@st.composite
+def small_problems(draw):
+    plan = draw(st.sampled_from("ABC"))
+    n = draw(st.integers(4, 7))
+    if plan == "A":
+        colors = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+        return make_problem("A", coord_b=colors, energy_target=0)
+    weight = draw(st.integers(0, n))
+    if plan == "B":
+        turns = "".join(draw(st.lists(st.sampled_from("012"), min_size=n - 1, max_size=n - 1)))
+        return make_problem("B", coord_t=turns, weight_target=weight, energy_target=0)
+    return make_problem("C", n=n, weight_target=weight, energy_target=0)
+
+
+def brute_force_slice(problem, start, stop):
+    """Score flat indices [start, stop) one pair at a time, independently of the scan."""
+    n = problem.n
+    if problem.plan == "A":
+        binaries = [problem.fixed_binary]
+    else:
+        binaries = [
+            tuple(1 if i in ones else 0 for i in range(n))
+            for ones in combinations(range(n), problem.weight_target)
+        ]
+    if problem.plan == "B":
+        ternaries = [problem.fixed_ternary]
+    else:
+        ternaries = list(product((0, 1, 2), repeat=n - 1))
+    histogram: dict[int, int] = {}
+    scored = []
+    for flat in range(start, stop):
+        t_idx, b_idx = divmod(flat, len(binaries))
+        bits, turns = binaries[b_idx], ternaries[t_idx]
+        value = objective_value(bits, turns, problem.penalty)
+        histogram[value] = histogram.get(value, 0) + 1
+        scored.append((value, bits, turns))
+    if not scored:
+        return OracleReport(0, (), 0, {})
+    min_value = min(histogram)
+    argmin = {
+        problem.solution_key(problem.coordinate(bits, turns))
+        for value, bits, turns in scored
+        if value == min_value
+    }
+    return OracleReport(min_value, tuple(sorted(argmin)), stop - start, histogram)
 
 
 class TestDomainSize:
@@ -144,9 +193,26 @@ class TestShardingAndCheckpoints:
             enumerate_optimum(problem, workers=2)
         assert enumerate_optimum(problem).evaluations == domain_size(problem)
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_are_refused(self, workers):
+        problem = make_problem("C", n=6, weight_target=3, energy_target=-1)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            enumerate_optimum(problem, workers=workers)
+
     def test_parallel_workers_match_serial(self):
         problem = make_problem("C", n=6, weight_target=3, energy_target=-1)
         assert enumerate_optimum(problem, workers=2) == enumerate_optimum(problem)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_slice_matches_brute_force(self, data):
+        problem = data.draw(small_problems())
+        size = domain_size(problem)
+        start = data.draw(st.integers(0, size), label="start")
+        count = data.draw(st.integers(0, size - start), label="count")
+        assert enumerate_optimum(problem, start=start, count=count) == brute_force_slice(
+            problem, start, start + count
+        )
 
     def test_empty_slice(self):
         problem = make_problem("C", n=6, weight_target=3, energy_target=-1)
