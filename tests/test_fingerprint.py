@@ -86,6 +86,15 @@ def test_oracle_report_plan_c_n10_misaligned_slices():
     assert sha256(report_text(merge_reports(parts))) == ORACLE_C10_DIGEST
 
 
+def test_oracle_report_plan_c_n12():
+    # 140,300,424 pairs: above the default domain cap
+    problem = make_problem("C", n=12, weight_target=5, energy_target=-5)
+    report = enumerate_optimum(problem, domain_cap=2 * 10**8)
+    assert sha256(report_text(report)) == (
+        "067e6b84bcef8a91149ceeba85ff1ecc365b7376fe12095bcd43a6c0bc1ba70d"
+    )
+
+
 def test_ascii_drawing():
     assert ascii_conformation("1001001001", "211011011") == (
         "o-o\n"
