@@ -32,6 +32,12 @@ from sawalk.oracle import DEFAULT_DOMAIN_CAP, enumerate_optimum, report_text
 from sawalk.render import ascii_conformation, svg_conformation
 
 
+PROBE_LIMIT_HELP = (
+    "probe budget per run; checked before each whole step, so a run may "
+    "exceed it by up to one neighbourhood"
+)
+
+
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plan", choices=["A", "B", "C"], help="search formulation")
     parser.add_argument("--length", type=int, help="chain length n")
@@ -159,11 +165,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    try:
-        text = ascii_conformation(args.coord_b, args.coord_t)
-    except ValueError as err:
-        raise SystemExit(str(err))
-    _write_or_print(text, args.out)
+    _write_or_print(ascii_conformation(args.coord_b, args.coord_t), args.out)
     if args.svg:
         Path(args.svg).write_text(svg_conformation(args.coord_b, args.coord_t))
     return 0
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one seeded search")
     _add_problem_args(solve)
     solve.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
-    solve.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT)
+    solve.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help=PROBE_LIMIT_HELP)
     solve.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
     solve.add_argument("--out", help="write the result row to this file")
     solve.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(experiment)
     experiment.add_argument("--seeds", type=int, default=1000, help="number of runs")
     experiment.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
-    experiment.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT)
+    experiment.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help=PROBE_LIMIT_HELP)
     experiment.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
     experiment.add_argument("--parallelism", type=int, default=1, help="worker processes (ignored with --improve)")
     experiment.add_argument("--improve", action="store_true", help="ratchet a shared bound across runs")
@@ -224,7 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        # a refused input (a bad segment, an unreachable weight, a domain
+        # over the cap) is a one-line usage error, not a traceback
+        raise SystemExit(str(err)) from err
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ one-positions.  Checkpoints are a library feature: scan a slice with
 """
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice, product
@@ -78,83 +77,201 @@ def _binaries(problem: HPProblem) -> list[tuple[int, ...]]:
     return bits_list
 
 
+def _num_binaries(problem: HPProblem) -> int:
+    return 1 if problem.plan == "A" else comb(problem.n, problem.weight_target)
+
+
 def domain_size(problem: HPProblem) -> int:
     """Number of solution-eligible (colors, turns) pairs."""
-    binaries = 1 if problem.plan == "A" else comb(problem.n, problem.weight_target)
     ternaries = 1 if problem.plan == "B" else 3 ** (problem.n - 1)
-    return binaries * ternaries
+    return _num_binaries(problem) * ternaries
+
+
+def _bead_masks(binaries: list[tuple[int, ...]], n: int) -> list[int]:
+    """One int per bead, with bit b set when colouring b makes that bead H."""
+    return [sum(bits[i] << b for b, bits in enumerate(binaries)) for i in range(n)]
 
 
 def _score_colorings(
-    pairs: tuple[tuple[int, int], ...], masks: list[int], b_offset: int, span: int
-) -> tuple[Counter, int, list[int]]:
-    """Value counts, minimum and minimizing binary indices of one feasible fold."""
-    pair_masks = [(1 << i) | (1 << j) for i, j in pairs]
-    values = [
-        -sum(1 for m in pair_masks if mask & m == m)
-        for mask in masks[b_offset : b_offset + span]
-    ]
-    best = min(values)
-    return Counter(values), best, [b for b, v in enumerate(values, b_offset) if v == best]
+    pairs: tuple[tuple[int, int], ...], beads: list[int], lo: int, hi: int
+) -> tuple[dict[int, int], int, int]:
+    """Value counts, minimum and minimizing colourings [lo, hi) of one feasible fold.
+
+    Bit-sliced: one AND per contact pair marks every colouring that makes
+    both beads H, and a ripple-carry counter of bit planes sums the marks,
+    so colouring b's contact count is bit b of the planes read as a binary
+    number.  The minimizers come back as a bit mask over colouring indices.
+    """
+    span = (1 << hi) - (1 << lo)
+    planes: list[int] = []
+    for i, j in pairs:
+        carry = beads[i] & beads[j] & span
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[k]
+            planes[k] = plane ^ carry
+            carry &= plane
+            k += 1
+    counts: dict[int, int] = {}
+    for contacts in range(1 << len(planes)):
+        equal = span
+        for k, plane in enumerate(planes):
+            equal &= plane if contacts >> k & 1 else ~plane
+        if equal:
+            counts[-contacts] = equal.bit_count()
+            best, best_bits = -contacts, equal
+    return counts, best, best_bits
 
 
-def _scan(problem: HPProblem, start: int, stop: int) -> OracleReport:
-    """Evaluate flat indices [start, stop) of the enumeration."""
+def _bit_indices(bits: int) -> list[int]:
+    indices = []
+    while bits:
+        low = bits & -bits
+        indices.append(low.bit_length() - 1)
+        bits ^= low
+    return indices
+
+
+def _canonical_ternary(t_idx: int, n: int) -> tuple[int, ...]:
+    """Canonical turns of the fold at position ``t_idx`` of itertools.product order."""
+    digits = []
+    for _ in range(n - 2):
+        t_idx, d = divmod(t_idx, 3)
+        digits.append(d)
+    return (2, *reversed(digits))
+
+
+def _folds(problem: HPProblem, ranges: list[tuple[int, int]]):
+    """Yield (turns, lo, hi, folds) for every fold the disjoint flat ranges touch.
+
+    Each fold is scanned on colourings [lo, hi) and stands for ``folds``
+    folds.  The first turn digit only rotates a fold, and a rotation keeps
+    the fold record, so plans A and C yield each rotation class once, as its
+    canonical turns (2, *rest), counting the first digits whose fold the
+    ranges cover whole.  Only the first and last fold of a range can cover
+    part of the colourings; they come one by one.
+    """
+    n = problem.n
+    num_b = _num_binaries(problem)
+    if problem.plan == "B":  # one fold, reported as given
+        for start, stop in ranges:
+            yield problem.fixed_ternary, start, stop, 1
+        return
+    rests = 3 ** (n - 2)  # folds per first digit
+    edges: dict[int, int] = {}  # +1/-1 where a whole-fold run of rests starts/ends
+    for start, stop in ranges:
+        t_lo, b_lo = divmod(start, num_b)
+        t_hi, b_hi = divmod(stop, num_b)
+        if t_lo == t_hi:
+            yield _canonical_ternary(t_lo, n), b_lo, b_hi, 1
+            continue
+        if b_lo:
+            yield _canonical_ternary(t_lo, n), b_lo, num_b, 1
+            t_lo += 1
+        if b_hi:
+            yield _canonical_ternary(t_hi, n), 0, b_hi, 1
+        for block in range(0, 3 * rests, rests):
+            lo, hi = max(t_lo, block) - block, min(t_hi, block + rests) - block
+            if lo < hi:
+                edges[lo] = edges.get(lo, 0) + 1
+                edges[hi] = edges.get(hi, 0) - 1
+    covered = 0
+    for edge in sorted(edges):
+        if covered:
+            canonical = product((2,), *[range(3)] * (n - 2))
+            for turns in islice(canonical, previous, edge):
+                yield turns, 0, num_b, covered
+        covered += edges[edge]
+        previous = edge
+
+
+def _scan(problem: HPProblem, ranges: list[tuple[int, int]]) -> OracleReport:
+    """Evaluate the flat indices of disjoint ranges [start, stop) of the enumeration."""
     n = problem.n
     penalty = problem.penalty
     # uncached: a scan decodes each fold once, so it must neither fill nor
     # evict the walk's fold cache
     analyse = _fold_analysis.__wrapped__
     binaries = _binaries(problem)
-    num_b = len(binaries)
-    masks = [sum(1 << i for i, b in enumerate(bits) if b) for bits in binaries]
-    if problem.plan == "B":
-        ternaries = [problem.fixed_ternary]
-    else:
-        ternaries = product(range(3), repeat=n - 1)
+    beads = _bead_masks(binaries, n)
 
-    histogram: dict[int, int] = {}
-    min_value: Optional[int] = None
-    argmin: set[tuple[int, tuple[int, ...]]] = set()  # (binary index, turns)
-    # A fold's colourings score alike whenever its contact pairs do, and the
-    # rotations and mirror images of a fold share its pairs: score each
-    # (pairs, colouring range) once.  The first and last fold of a slice may
-    # cover only part of the colourings, hence the range in the key.
-    scored: dict[tuple, tuple[Counter, int, list[int]]] = {}
-
-    t_idx, b_offset = divmod(start, num_b)
-    remaining = stop - start
-    for turns in islice(ternaries, t_idx, None):
-        span = min(num_b - b_offset, remaining)
-        first, collisions, pairs = analyse(turns)
-        if collisions:
-            value = penalty(n, first, collisions)
-            counts, best, best_b = {value: span}, value, range(b_offset, b_offset + span)
-        else:
-            key = (pairs, b_offset, span)
-            if key not in scored:
-                scored[key] = _score_colorings(pairs, masks, b_offset, span)
-            counts, best, best_b = scored[key]
-        for value, count in counts.items():
-            histogram[value] = histogram.get(value, 0) + count
-        if min_value is None or best <= min_value:
-            if min_value is None or best < min_value:
+    # one counter per (fold record, lo, hi), since a fold's colourings score
+    # alike whenever its record does: [folds, value counts, best value,
+    # minimizing colourings]
+    scored: dict[tuple, list] = {}
+    min_value = float("inf")
+    argmin: list[tuple[int, tuple[int, ...]]] = []  # (minimizing colourings, turns)
+    for turns, lo, hi, folds in _folds(problem, ranges):
+        record = analyse(turns)
+        key = (record, lo, hi)
+        entry = scored.get(key)
+        if entry is None:
+            first, collisions, pairs = record
+            if collisions:
+                value = penalty(n, first, collisions)
+                entry = [0, {value: hi - lo}, value, (1 << hi) - (1 << lo)]
+            else:
+                entry = [0, *_score_colorings(pairs, beads, lo, hi)]
+            scored[key] = entry
+        entry[0] += folds
+        best = entry[2]
+        if best <= min_value:
+            if best < min_value:
                 min_value = best
                 argmin.clear()
-            argmin.update((b, turns) for b in best_b)
-        remaining -= span
-        if not remaining:
-            break
-        b_offset = 0
+            argmin.append((entry[3], turns))
 
+    histogram: dict[int, int] = {}
+    for folds, counts, _, _ in scored.values():
+        for value, count in counts.items():
+            histogram[value] = histogram.get(value, 0) + folds * count
     # solution keys collapse the re-orientations of one searched fold
-    keys = {problem.solution_key(problem.coordinate(binaries[b], turns)) for b, turns in argmin}
+    keys = {
+        problem.solution_key(problem.coordinate(binaries[b], turns))
+        for best_bits, turns in argmin
+        for b in _bit_indices(best_bits)
+    }
     return OracleReport(
-        min_value=min_value if min_value is not None else 0,
+        min_value=min_value if histogram else 0,
         argmin=tuple(sorted(keys)),
-        evaluations=stop - start - remaining,
+        evaluations=sum(histogram.values()),
         histogram=histogram,
     )
+
+
+def _worker_ranges(
+    problem: HPProblem, start: int, stop: int, workers: int
+) -> list[list[tuple[int, int]]]:
+    """Split [start, stop) into at most ``workers`` non-empty lists of ranges.
+
+    Plans A and C give each worker whole rotation classes: worker w takes
+    the rests [R*w/W, R*(w+1)/W) under each of the three first digits, so
+    no two workers decode the same class.  Plan B splits its one fold's
+    colourings into contiguous chunks.
+    """
+    if problem.plan == "B":
+        bounds = [start + (stop - start) * w // workers for w in range(workers + 1)]
+        splits = [[(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
+    else:
+        num_b = _num_binaries(problem)
+        rests = 3 ** (problem.n - 2)
+        splits = [
+            [
+                ((block + rests * w // workers) * num_b, (block + rests * (w + 1) // workers) * num_b)
+                for block in range(0, 3 * rests, rests)
+            ]
+            for w in range(workers)
+        ]
+    shares = []
+    for split in splits:
+        share = [(max(lo, start), min(hi, stop)) for lo, hi in split]
+        share = [(lo, hi) for lo, hi in share if lo < hi]
+        if share:
+            shares.append(share)
+    return shares
 
 
 def enumerate_optimum(
@@ -167,9 +284,9 @@ def enumerate_optimum(
     """Scan the problem's whole eligible domain (or a checkpoint slice).
 
     Refuses domains larger than ``domain_cap`` rather than starting a scan
-    that cannot finish.  With ``workers`` > 1 the index range is split into
-    contiguous chunks scanned in parallel and merged; fewer than one worker
-    is refused.
+    that cannot finish.  With ``workers`` > 1 the range is split among
+    worker processes (see ``_worker_ranges``) and their reports merged;
+    fewer than one worker is refused.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -182,14 +299,12 @@ def enumerate_optimum(
     if start == stop:
         return OracleReport(0, (), 0, {})
     if workers <= 1:
-        return _scan(problem, start, stop)
+        return _scan(problem, [(start, stop)])
     _require_picklable_penalty(problem)
-    bounds = [start + (stop - start) * i // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_scan, problem, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
+            pool.submit(_scan, problem, ranges)
+            for ranges in _worker_ranges(problem, start, stop, workers)
         ]
         return merge_reports([f.result() for f in futures])
 

@@ -40,10 +40,26 @@ class TestSolve:
             main(["solve"])
 
     def test_segment_the_plan_searches_is_refused(self):
-        with pytest.raises(ValueError, match="ternary"):
+        with pytest.raises(SystemExit, match="ternary"):
             main(
                 "solve --plan A --coord-b 1001001001 --coord-t 211011011 --target -4".split()
             )
+
+    def test_weight_above_length_is_one_line(self):
+        with pytest.raises(SystemExit, match="weight target 11 out of range for 10 beads"):
+            main("solve --plan C --length 10 --weight 11 --target -4".split())
+
+    def test_positive_target_is_one_line(self):
+        with pytest.raises(SystemExit, match="energy targets are zero or negative"):
+            main("solve --plan C --length 10 --weight 4 --target 3".split())
+
+    def test_probe_limit_may_overshoot_by_one_neighbourhood(self, capsys):
+        # the limit is checked before each whole step
+        code = main(
+            "solve --instance instances/hp_literature.instances --index 1 --probe-limit 10".split()
+        )
+        out = capsys.readouterr().out
+        assert code == 1 and "(probes 45, steps 1," in out
 
     def test_censored_exit_code(self, capsys):
         code = main(
@@ -55,7 +71,7 @@ class TestSolve:
 
 class TestExperiment:
     def test_zero_parallelism_refused(self):
-        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+        with pytest.raises(SystemExit, match="parallelism must be at least 1"):
             main(
                 "experiment --plan B --coord-t 211011011 --weight 4 --target -4 "
                 "--seeds 2 --parallelism 0".split()
@@ -120,11 +136,11 @@ class TestOracle:
         )
 
     def test_zero_workers_refused(self):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
+        with pytest.raises(SystemExit, match="workers must be at least 1"):
             main("oracle --plan B --coord-t 211011011 --weight 4 --target -4 --workers 0".split())
 
     def test_domain_cap_refusal(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit, match="exceeding the cap"):
             main(
                 "oracle --plan C --length 20 --weight 10 --target -9 --domain-cap 1000".split()
             )
@@ -136,6 +152,10 @@ class TestHasse:
         out = capsys.readouterr().out
         assert "vertices = 36" in out
         assert "edges = 84" in out
+
+    def test_empty_segment_is_one_line(self):
+        with pytest.raises(SystemExit, match="segment length must be >= 1, got 0"):
+            main("hasse --spec 2^0".split())
 
     def test_dot_output(self, tmp_path):
         out = tmp_path / "g.dot"

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawalk.engine import SearchConfig, run_search
+from sawalk.harness import ExperimentConfig, run_rows
 from sawalk.hpfold import make_problem, objective_value, target_energy
 from sawalk.mixedradix import SpaceTooLargeError
 from sawalk.oracle import (
     OracleReport,
+    _binaries,
+    _bead_masks,
+    _score_colorings,
     domain_size,
     enumerate_optimum,
     merge_reports,
@@ -214,10 +218,71 @@ class TestShardingAndCheckpoints:
             problem, start, start + count
         )
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            make_problem("A", coord_b="1011001", energy_target=0),
+            make_problem("B", coord_t="211011", weight_target=3, energy_target=0),
+            make_problem("C", n=7, weight_target=3, energy_target=0),
+        ],
+        ids="ABC",
+    )
+    def test_worker_split_matches_serial(self, problem, workers):
+        assert enumerate_optimum(problem, workers=workers) == enumerate_optimum(problem)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_slice_ends_next_to_a_first_digit_block_edge(self, data):
+        # a first-digit block holds the 3^(n-2) folds of one first turn digit,
+        # the unit whole rotation classes are credited in
+        problem = data.draw(small_problems().filter(lambda p: p.plan != "B"))
+        block = 3 ** (problem.n - 2) * (domain_size(problem) // 3 ** (problem.n - 1))
+        near = st.sampled_from(
+            [k * block + d for k in range(4) for d in (-1, 0, 1) if 0 <= k * block + d <= 3 * block]
+        )
+        start, stop = sorted((data.draw(near, label="start"), data.draw(near, label="stop")))
+        assert enumerate_optimum(problem, start=start, count=stop - start) == brute_force_slice(
+            problem, start, stop
+        )
+
     def test_empty_slice(self):
         problem = make_problem("C", n=6, weight_target=3, energy_target=-1)
         report = enumerate_optimum(problem, start=5, count=0)
         assert report.evaluations == 0 and report.argmin == ()
+
+
+class TestBitSlicedScorer:
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_matches_per_colouring_count(self, data):
+        n = data.draw(st.integers(3, 9), label="n")
+        binaries = _binaries(make_problem("C", n=n, weight_target=data.draw(st.integers(0, n)), energy_target=0))
+        candidates = [(i, j) for i in range(n) for j in range(i + 2, n)]
+        pairs = tuple(sorted(data.draw(st.sets(st.sampled_from(candidates)), label="pairs")))
+        lo = data.draw(st.integers(0, len(binaries) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(binaries)), label="hi")
+        values = {b: -sum(binaries[b][i] & binaries[b][j] for i, j in pairs) for b in range(lo, hi)}
+        counts, best, best_bits = _score_colorings(pairs, _bead_masks(binaries, n), lo, hi)
+        expected: dict[int, int] = {}
+        for value in values.values():
+            expected[value] = expected.get(value, 0) + 1
+        assert counts == expected
+        assert best == min(values.values())
+        assert best_bits == sum(1 << b for b, v in values.items() if v == best)
+
+
+class TestGroundTruthLadder:
+    @pytest.mark.parametrize("n, w", [(11, 5), (12, 6)])
+    def test_campaign_solutions_are_oracle_minimizers(self, n, w):
+        report = enumerate_optimum(
+            make_problem("C", n=n, weight_target=w, energy_target=0), domain_cap=2 * 10**8
+        )
+        problem = make_problem("C", n=n, weight_target=w, energy_target=report.min_value)
+        rows = run_rows(ExperimentConfig(problem, sample_size=20, base_seed=1901))
+        for row in rows:
+            assert not row.is_censored and row.value == report.min_value
+            assert problem.solution_key(problem.coordinate(row.coord_b, row.coord_t)) in report.argmin
 
 
 class TestSolverConsistency:
