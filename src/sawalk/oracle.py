@@ -158,7 +158,8 @@ def _folds(problem: HPProblem, ranges: list[tuple[int, int]]):
     num_b = _num_binaries(problem)
     if problem.plan == "B":  # one fold, reported as given
         for start, stop in ranges:
-            yield problem.fixed_ternary, start, stop, 1
+            if start < stop:
+                yield problem.fixed_ternary, start, stop, 1
         return
     rests = 3 ** (n - 2)  # folds per first digit
     edges: dict[int, int] = {}  # +1/-1 where a whole-fold run of rests starts/ends
@@ -166,7 +167,8 @@ def _folds(problem: HPProblem, ranges: list[tuple[int, int]]):
         t_lo, b_lo = divmod(start, num_b)
         t_hi, b_hi = divmod(stop, num_b)
         if t_lo == t_hi:
-            yield _canonical_ternary(t_lo, n), b_lo, b_hi, 1
+            if b_lo < b_hi:
+                yield _canonical_ternary(t_lo, n), b_lo, b_hi, 1
             continue
         if b_lo:
             yield _canonical_ternary(t_lo, n), b_lo, num_b, 1
