@@ -4,15 +4,21 @@ Enumerates every solution-eligible coordinate pair of a problem (the fixed
 segment for plans A/B, exact-target-weight colors for plans B/C, all turn
 strings otherwise), recording the exact minimum, every minimizer, and the
 full objective-value histogram.  Enumeration order is fixed and documented,
-so a scan can be split into contiguous index ranges that run in parallel or
-resume from a checkpoint and merge associatively:
+so a scan can be split into index ranges that run in parallel or resume
+from a checkpoint and merge associatively:
 
     flat index = ternary_index * (number of binaries) + binary_index
 
 where ternary strings follow itertools.product order (rightmost digit
 fastest) and weight-w binaries follow itertools.combinations of the
-one-positions.  Checkpoints are a library feature: scan a slice with
-``enumerate_optimum(start=, count=)`` and combine slices with
+one-positions.  The first turn digit only rotates a fold, so the ternary
+indices fall into three blocks of R = 3^(n-2) folds, one per first digit,
+and fold r of each block is a rotation of the same conformation.  The scan
+decodes each such rotation class once, and with W workers, worker w of
+plans A and C takes the rests [R*w/W, R*(w+1)/W) of all three blocks (three
+ranges), so no class is decoded twice; plan B's workers take contiguous
+chunks of its colourings.  Checkpoints are a library feature: scan a slice
+with ``enumerate_optimum(start=, count=)`` and combine slices with
 ``merge_reports``.  The CLI always scans the whole domain.
 """
 from __future__ import annotations
@@ -21,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 from sawalk.hpfold import HPProblem, _fold_analysis, _require_picklable_penalty
 from sawalk.mixedradix import SpaceTooLargeError
@@ -144,7 +150,9 @@ def _canonical_ternary(t_idx: int, n: int) -> tuple[int, ...]:
     return (2, *reversed(digits))
 
 
-def _folds(problem: HPProblem, ranges: list[tuple[int, int]]):
+def _folds(
+    problem: HPProblem, ranges: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     """Yield (turns, lo, hi, folds) for every fold the disjoint flat ranges touch.
 
     Each fold is scanned on colourings [lo, hi) and stands for ``folds``
@@ -154,13 +162,13 @@ def _folds(problem: HPProblem, ranges: list[tuple[int, int]]):
     ranges cover whole.  Only the first and last fold of a range can cover
     part of the colourings; they come one by one.
     """
-    n = problem.n
-    num_b = _num_binaries(problem)
     if problem.plan == "B":  # one fold, reported as given
         for start, stop in ranges:
             if start < stop:
                 yield problem.fixed_ternary, start, stop, 1
         return
+    n = problem.n
+    num_b = _num_binaries(problem)
     rests = 3 ** (n - 2)  # folds per first digit
     edges: dict[int, int] = {}  # +1/-1 where a whole-fold run of rests starts/ends
     for start, stop in ranges:
@@ -247,13 +255,8 @@ def _scan(problem: HPProblem, ranges: list[tuple[int, int]]) -> OracleReport:
 def _worker_ranges(
     problem: HPProblem, start: int, stop: int, workers: int
 ) -> list[list[tuple[int, int]]]:
-    """Split [start, stop) into at most ``workers`` non-empty lists of ranges.
-
-    Plans A and C give each worker whole rotation classes: worker w takes
-    the rests [R*w/W, R*(w+1)/W) under each of the three first digits, so
-    no two workers decode the same class.  Plan B splits its one fold's
-    colourings into contiguous chunks.
-    """
+    """Split [start, stop) into at most ``workers`` non-empty lists of ranges:
+    whole rotation classes for plans A and C, contiguous chunks for plan B."""
     if problem.plan == "B":
         bounds = [start + (stop - start) * w // workers for w in range(workers + 1)]
         splits = [[(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
