@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help=PROBE_LIMIT_HELP)
     experiment.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
     experiment.add_argument("--parallelism", type=int, default=1, help="worker processes (ignored with --improve)")
-    experiment.add_argument("--improve", action="store_true", help="ratchet a shared bound across runs")
+    experiment.add_argument("--improve", action="store_true", help="ratchet a shared bound across runs, starting at --target")
     experiment.add_argument("--out", help="write result rows to this file")
     experiment.add_argument("--format", choices=["csv", "json"], default="csv")
     experiment.set_defaults(func=_cmd_experiment)

@@ -1,11 +1,6 @@
 """Best-neighbor self-avoiding walk search with restart-on-trap.
 
-One run follows five rules: draw a random initial pivot; probe every
-not-yet-visited admissible neighbor and step to the best value (ties broken
-uniformly, uphill moves taken without question); repeat until the stop test
-passes; restart from a fresh random pivot whenever every neighbor has been
-visited; and bound memory with a FIFO buffer of visited pivots.
-
+``run_search`` is the walk: one loop whose docstring states its rules.
 Cost is counted in probes (objective evaluations).  A run that exhausts its
 probe budget before the stop test passes is censored, which is a normal
 reportable outcome rather than an error.  Every random choice in a run is
@@ -30,8 +25,6 @@ from sawalk.mixedradix import (
 DEFAULT_SEED = 1901
 DEFAULT_PROBE_LIMIT = 2**24
 DEFAULT_BUFFER_CAPACITY = 2**20
-
-Observer = Callable[[str, Coordinate, float], None]
 
 
 class SearchProblem(Protocol):
@@ -107,10 +100,6 @@ class VisitedBuffer:
         return len(self._entries)
 
 
-class Trapped(Exception):
-    """Every admissible neighbor of the pivot has been visited."""
-
-
 @dataclass
 class SearchConfig:
     seed: int = DEFAULT_SEED
@@ -120,17 +109,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.probe_limit < 1:
             raise ValueError("probe limit must be at least 1")
-
-
-@dataclass
-class WalkState:
-    """Mutable per-run walk bookkeeping, advanced in place by saw_step."""
-
-    pivot: Coordinate
-    pivot_value: float
-    walk_length: int
-    visited: VisitedBuffer
-    restarts: int = 0
 
 
 @dataclass(frozen=True)
@@ -156,118 +134,93 @@ class SearchResult:
         return self.probe_count / self.walk_length
 
 
-def best_neighbor(
-    pivot: Coordinate,
-    problem: SearchProblem,
-    visited: VisitedBuffer,
-    rng: random.Random,
-) -> tuple[Coordinate, float, int]:
-    """Probe the unvisited admissible neighborhood and pick its minimum.
-
-    Neighbors are scanned in freshly permuted order and the first strict
-    minimum wins, which makes tie-breaking uniform over tied coordinates.
-    Returns (choice, value, probes spent); raises Trapped when nothing is
-    left to probe.  The choice stands even when it is worse than the pivot.
-    """
-    candidates = problem.admissible_neighbors(pivot)
-    order = permuted_indices(len(candidates), rng)
-    objective = problem.objective
-    best = None
-    best_value = 0.0
-    probes = 0
-    for i in order:
-        coord = candidates[i]
-        if coord in visited:
-            continue
-        value = objective(coord)
-        probes += 1
-        if best is None or value < best_value:
-            best, best_value = coord, value
-    if best is None:
-        raise Trapped
-    return best, best_value, probes
-
-
-def saw_step(
-    state: WalkState,
-    problem: SearchProblem,
-    rng: random.Random,
-    observer: Optional[Observer] = None,
-) -> int:
-    """Advance the walk by one step, restarting if the pivot is trapped.
-
-    Both branches count as a step.  A restart draws a fresh random pivot
-    (under the problem's usual constraints) and spends exactly one probe to
-    value it; the visited buffer is kept, so the new segment still avoids
-    every remembered pivot.  Returns the number of probes spent.
-    """
-    try:
-        pivot, value, probes = best_neighbor(state.pivot, problem, state.visited, rng)
-        event = "step"
-    except Trapped:
-        pivot = problem.random_coordinate(rng)
-        value = problem.objective(pivot)
-        probes = 1
-        state.restarts += 1
-        event = "restart"
-    state.pivot = pivot
-    state.pivot_value = value
-    state.walk_length += 1
-    state.visited.add(pivot)
-    if observer is not None:
-        observer(event, pivot, value)
-    return probes
 
 
 def run_search(
     config: SearchConfig,
     problem: SearchProblem,
     target: Optional[float] = None,
-    observer: Optional[Observer] = None,
+    observer: Optional[Callable[[str, Coordinate, float], None]] = None,
 ) -> SearchResult:
     """Execute one walk until the stop test passes or the probe budget ends.
 
+    The walk is one loop over these rules:
+
+    - The initial pivot is a random draw.  It counts as probe 1 and may
+      already pass the stop test (walk length 0).
+    - Before each whole step, a run that has spent ``config.probe_limit``
+      probes stops censored.  A step is never cut short, so the count may
+      overshoot the limit by up to one neighbourhood.
+    - A step permutes the pivot's admissible neighbours with the run's
+      stream and probes each one that is not in the visited buffer.  The
+      first strict minimum wins, which breaks ties uniformly, and it is
+      taken even when it is worse than the pivot (an uphill move).
+    - A trapped pivot, with nothing left to probe, is replaced by a fresh
+      random draw that costs one probe.  The buffer is kept, so the new
+      segment still avoids every retained pivot.  A restart counts as a step.
+    - Every new pivot enters the FIFO buffer of visited pivots.
+
     The stop test holds the problem's own target unless ``target`` replaces
-    it, which lets a sequence of runs ratchet a shared bound downward.  The
-    initial pivot counts as probe 1 and may already satisfy the stop test
-    (walk length 0).
+    it, which lets a sequence of runs ratchet a shared bound downward.  A
+    solved run reports the pivot that passed the stop test; a censored run
+    reports the last pivot with the lowest value.  ``observer(event, coord,
+    value)``, when given, sees the initial pivot as ``"init"`` and each new
+    pivot as ``"step"`` or ``"restart"``.
     """
     rng = random.Random(config.seed)
+    objective = problem.objective
+    # VisitedBuffer and permuted_indices are read from the module at call
+    # time, so a caller may rebind either to trace the walk
+    visited = VisitedBuffer(config.buffer_capacity)
+
     pivot = problem.random_coordinate(rng)
-    value = problem.objective(pivot)
+    value = objective(pivot)
     probe_count = 1
-    state = WalkState(
-        pivot=pivot,
-        pivot_value=value,
-        walk_length=0,
-        visited=VisitedBuffer(config.buffer_capacity),
-    )
-    state.visited.add(pivot)
+    walk_length = 0
+    restarts = 0
+    visited.add(pivot)
     if observer is not None:
         observer("init", pivot, value)
-
     best, best_value = pivot, value
     solved = problem.is_solution(pivot, value, target)
-    censored = False
-    while not solved:
-        if probe_count >= config.probe_limit:
-            censored = True
-            break
-        probe_count += saw_step(state, problem, rng, observer)
-        if state.pivot_value <= best_value:
-            best, best_value = state.pivot, state.pivot_value
-        solved = problem.is_solution(state.pivot, state.pivot_value, target)
+    while not solved and probe_count < config.probe_limit:
+        # a trapped pivot still draws its permutation: the stream must not shift
+        candidates = problem.admissible_neighbors(pivot)
+        choice = None
+        for i in permuted_indices(len(candidates), rng):
+            coord = candidates[i]
+            if coord in visited:
+                continue
+            coord_value = objective(coord)
+            probe_count += 1
+            if choice is None or coord_value < choice_value:
+                choice, choice_value = coord, coord_value
+        if choice is None:
+            choice = problem.random_coordinate(rng)
+            choice_value = objective(choice)
+            probe_count += 1
+            restarts += 1
+            event = "restart"
+        else:
+            event = "step"
+        pivot, value = choice, choice_value
+        walk_length += 1
+        visited.add(pivot)
+        if observer is not None:
+            observer(event, pivot, value)
+        if value <= best_value:
+            best, best_value = pivot, value
+        solved = problem.is_solution(pivot, value, target)
 
     if solved:
-        # report the pivot that passed the stop test, not merely the best
-        # value seen: only it is guaranteed to satisfy the weight constraint
-        best, best_value = state.pivot, state.pivot_value
+        # only the stop-test pivot is sure to meet the weight constraint
+        best, best_value = pivot, value
     return SearchResult(
         seed=config.seed,
         coordinate=best,
         value=best_value,
         probe_count=probe_count,
-        walk_length=state.walk_length,
-        is_censored=censored,
-        restarts=state.restarts,
+        walk_length=walk_length,
+        is_censored=not solved,
+        restarts=restarts,
     )

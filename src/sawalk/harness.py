@@ -97,6 +97,19 @@ class RunRow:
             is_censored=result.is_censored,
         )
 
+    def values(self) -> tuple:
+        """The fields in ``CSV_COLUMNS`` order, as the CSV and JSON files hold them."""
+        return (
+            self.seed,
+            self.coord_b,
+            self.coord_t,
+            self.value,
+            self.cnt_probe,
+            self.walk_length,
+            self.probes_per_step,
+            int(self.is_censored),
+        )
+
 
 @dataclass
 class ExperimentConfig:
@@ -187,9 +200,10 @@ def improving_campaign(config: ExperimentConfig) -> tuple[int, list[RunRow]]:
 
     Every run stops at the current bound or better (subject to the weight
     test); an uncensored run that beats the bound strictly lowers it for
-    the runs that follow.  Returns the final bound and all rows.
+    the runs that follow.  The bound starts at the problem's energy target.
+    Returns the final bound and all rows.
     """
-    bound = 0
+    bound = config.problem.energy_target
     rows: list[RunRow] = []
     for index in range(config.sample_size):
         row = run_one(config, index, bound)
@@ -204,19 +218,8 @@ def rows_csv(rows: Sequence[RunRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.seed,
-                row.coord_b,
-                row.coord_t,
-                row.value,
-                row.cnt_probe,
-                row.walk_length,
-                repr(row.probes_per_step),
-                int(row.is_censored),
-            ]
-        )
+    # csv writes a float as its repr, so probesPerStep round-trips exactly
+    writer.writerows(row.values() for row in rows)
     return out.getvalue()
 
 
@@ -254,19 +257,7 @@ def experiment_json(summary: ExperimentStats, rows: Sequence[RunRow]) -> str:
             "cntProbe": asdict(summary.cnt_probe),
             "probesPerStep": asdict(summary.probes_per_step) if summary.probes_per_step else None,
         },
-        "rows": [
-            {
-                "seed": row.seed,
-                "coordB": row.coord_b,
-                "coordT": row.coord_t,
-                "value": row.value,
-                "cntProbe": row.cnt_probe,
-                "walkLength": row.walk_length,
-                "probesPerStep": row.probes_per_step,
-                "isCensored": int(row.is_censored),
-            }
-            for row in rows
-        ],
+        "rows": [dict(zip(CSV_COLUMNS, row.values())) for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -5,8 +5,8 @@ digits followed by two ternary digits.  Coordinates are digit strings over
 that space; two coordinates are adjacent when exactly one digit differs by
 one.  This module provides the coordinate representation, the rank distance
 (sum of absolute per-digit differences), neighborhood generation, uniform
-sampling (optionally weight-constrained on a binary segment), and adjacency
-graph statistics / DOT export for spaces small enough to enumerate.
+sampling, and adjacency graph statistics / DOT export for spaces small
+enough to enumerate.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import random
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 _DIGIT_CHARS = string.digits + string.ascii_lowercase  # text form supports bases up to 36
 _new_object = object.__new__
@@ -125,10 +125,6 @@ class Coordinate:
         fields["digits"] = digits
         return obj
 
-    def segment(self, index: int) -> tuple[int, ...]:
-        start, end = self.spec.segment_bounds[index]
-        return self.digits[start:end]
-
     def __str__(self) -> str:
         parts = []
         for start, end in self.spec.segment_bounds:
@@ -209,31 +205,9 @@ def sample_weight_positions(rng: random.Random, length: int, weight: int) -> tup
     return tuple(1 if i in ones else 0 for i in range(length))
 
 
-def random_coordinate(
-    spec: RadixSpec,
-    rng: random.Random,
-    weight: Optional[int] = None,
-    weight_segment: int = 0,
-) -> Coordinate:
-    """Draw a coordinate uniformly at random.
-
-    With ``weight`` given, the designated segment must be binary and the draw
-    is uniform over binary strings of exactly that many ones (a uniform
-    weight-subset of positions); all other segments stay uniform.
-    """
-    if weight is not None and not 0 <= weight_segment < len(spec.segments):
-        raise ValueError(f"no segment {weight_segment} in a {len(spec.segments)}-segment space")
-    digits: list[int] = []
-    for index, (base, length) in enumerate(spec.segments):
-        if weight is not None and index == weight_segment:
-            if base != 2:
-                raise ValueError("weight constraint requires a binary segment")
-            if weight > length:
-                raise ValueError(f"weight {weight} exceeds segment length {length}")
-            digits.extend(sample_weight_positions(rng, length, weight))
-        else:
-            digits.extend(rng.randrange(base) for _ in range(length))
-    return Coordinate(spec, tuple(digits))
+def random_coordinate(spec: RadixSpec, rng: random.Random) -> Coordinate:
+    """Draw a coordinate uniformly at random, one digit per position, left to right."""
+    return Coordinate(spec, tuple(rng.randrange(base) for base in spec.position_bases))
 
 
 def iter_space(spec: RadixSpec) -> Iterator[Coordinate]:

@@ -1,17 +1,12 @@
-import random
-
 import pytest
 
+from sawalk import engine
 from sawalk.engine import (
     FunctionProblem,
     SearchConfig,
     SearchResult,
-    Trapped,
     VisitedBuffer,
-    WalkState,
-    best_neighbor,
     run_search,
-    saw_step,
 )
 from sawalk.hpfold import make_problem
 from sawalk.mixedradix import Coordinate, RadixSpec, parse_coordinate, rank_distance
@@ -26,6 +21,55 @@ def tiny_problem(target=0):
         return rank_distance(coord, goal)
 
     return FunctionProblem(spec, fn, target)
+
+
+def line_problem():
+    """A 5-point line scored by its digit, unreachable target, and its midpoint."""
+    spec = RadixSpec(((5, 1),))
+    return FunctionProblem(spec, lambda c: c.digits[0], -1), parse_coordinate(spec, "2")
+
+
+class FixedStart:
+    """A problem whose every random draw is one pivot, so a walk starts there."""
+
+    def __init__(self, problem, pivot):
+        self._problem = problem
+        self._pivot = pivot
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def random_coordinate(self, rng):
+        return self._pivot
+
+
+class Counting:
+    """A problem whose objective calls are counted."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def objective(self, coord):
+        self.calls += 1
+        return self._problem.objective(coord)
+
+
+def walk_events(config, problem):
+    """One walk: its result and its events as (event, coord, value, probes spent)."""
+    counting = Counting(problem)
+    events = []
+    spent = 0
+
+    def observer(event, coord, value):
+        nonlocal spent
+        events.append((event, coord, value, counting.calls - spent))
+        spent = counting.calls
+
+    return run_search(config, counting, observer=observer), events
 
 
 class TestVisitedBuffer:
@@ -71,103 +115,99 @@ class TestVisitedBuffer:
 
 
 class TestBestNeighbor:
+    """The step rule: probe every unvisited neighbor, move to the first strict minimum."""
+
     def test_single_step_to_optimum(self):
-        # weight-5 pivot one ternary move away from a -4 conformation
+        # weight-5 pivot one ternary move away from a -4 conformation; the
+        # weight-5 choice fails the stop test and the probe limit ends the walk
         problem = make_problem("C", n=10, weight_target=4, energy_target=-4, weight_cap=5)
         pivot = problem.coordinate("1100101001", "021101111")
-        visited = VisitedBuffer()
-        visited.add(pivot)
-        choice, value, probes = best_neighbor(pivot, problem, visited, random.Random(3))
+        result, events = walk_events(SearchConfig(seed=3, probe_limit=2), FixedStart(problem, pivot))
+        assert [event for event, *_ in events] == ["init", "step"]
+        _, choice, value, probes = events[1]
         assert str(choice) == "1100101001.021101211"
         assert value == -4
         assert probes == len(problem.admissible_neighbors(pivot))
+        assert result.coordinate == choice and result.probe_count == 1 + probes
 
     def test_neighborhood_of_one(self):
-        problem = tiny_problem()
-        pivot = parse_coordinate(problem.spec, "0000.000")
-        visited = VisitedBuffer()
-        for nb in problem.admissible_neighbors(pivot)[:-1]:
-            visited.add(nb)
-        last = problem.admissible_neighbors(pivot)[-1]
-        choice, value, probes = best_neighbor(pivot, problem, visited, random.Random(0))
-        assert choice == last and probes == 1
-
-    def test_trapped_raises(self):
-        problem = tiny_problem()
-        pivot = parse_coordinate(problem.spec, "0000.000")
-        visited = VisitedBuffer()
-        for nb in problem.admissible_neighbors(pivot):
-            visited.add(nb)
-        with pytest.raises(Trapped):
-            best_neighbor(pivot, problem, visited, random.Random(0))
+        # at "1" the walk has come from "2", so only "0" is left to probe
+        problem, start = line_problem()
+        _, events = walk_events(SearchConfig(seed=0, probe_limit=4), FixedStart(problem, start))
+        assert [(event, str(coord), probes) for event, coord, _, probes in events] == [
+            ("init", "2", 1),
+            ("step", "1", 2),
+            ("step", "0", 1),
+        ]
 
     def test_uphill_step_taken(self):
         # pivot is the goal itself: every neighbor is worse, one is still chosen
         spec = RadixSpec(((3, 2),))
         goal = parse_coordinate(spec, "11")
-        problem = FunctionProblem(spec, lambda c: rank_distance(c, goal), 0)
-        visited = VisitedBuffer()
-        visited.add(goal)
-        choice, value, _ = best_neighbor(goal, problem, visited, random.Random(1))
-        assert value > 0
+        problem = FunctionProblem(spec, lambda c: rank_distance(c, goal), -1)
+        _, events = walk_events(SearchConfig(seed=1, probe_limit=2), FixedStart(problem, goal))
+        event, _, value, _ = events[1]
+        assert event == "step" and value > 0
 
     def test_tie_break_is_uniform(self):
         # middle of a 3-point line: both neighbors score the same
         spec = RadixSpec(((3, 1),))
         problem = FunctionProblem(spec, lambda c: 0 if c.digits[0] != 1 else 5, 0)
-        pivot = parse_coordinate(spec, "1")
+        start = FixedStart(problem, parse_coordinate(spec, "1"))
         hits = 0
         trials = 10_000
         for seed in range(trials):
-            visited = VisitedBuffer()
-            visited.add(pivot)
-            choice, _, _ = best_neighbor(pivot, problem, visited, random.Random(seed))
-            hits += choice.digits[0] == 0
+            hits += run_search(SearchConfig(seed=seed), start).coordinate.digits[0] == 0
         assert 0.45 <= hits / trials <= 0.55
 
 
 class TestSawStep:
+    """One step of the walk: a move, or a restart from a trapped pivot."""
+
     def test_normal_step(self):
-        problem = tiny_problem()
-        rng = random.Random(4)
-        pivot = problem.random_coordinate(rng)
-        state = WalkState(pivot, problem.objective(pivot), 0, VisitedBuffer())
-        state.visited.add(pivot)
-        probes = saw_step(state, problem, rng)
-        assert state.walk_length == 1
-        assert rank_distance(pivot, state.pivot) == 1
-        assert state.pivot in state.visited
-        assert probes >= 1
-        assert state.restarts == 0
+        problem = tiny_problem(target=-1)
+        result, events = walk_events(SearchConfig(seed=4, probe_limit=2), problem)
+        (_, pivot, _, _), (event, moved, _, probes) = events
+        assert event == "step"
+        assert rank_distance(pivot, moved) == 1
+        assert probes == len(problem.admissible_neighbors(pivot))
+        assert result.walk_length == 1 and result.restarts == 0
 
     def test_trapped_step_restarts(self):
-        problem = tiny_problem()
-        rng = random.Random(4)
-        pivot = problem.random_coordinate(rng)
-        state = WalkState(pivot, problem.objective(pivot), 0, VisitedBuffer())
-        state.visited.add(pivot)
-        for nb in problem.admissible_neighbors(pivot):
-            state.visited.add(nb)
-        probes = saw_step(state, problem, rng)
-        assert state.restarts == 1
-        assert state.walk_length == 1
-        assert probes == 1  # the fresh pivot costs exactly one probe
+        # "0" has one neighbor, "1", already visited: the third step restarts
+        problem, start = line_problem()
+        result, events = walk_events(SearchConfig(seed=0, probe_limit=5), FixedStart(problem, start))
+        assert events[-1][0] == "restart"
+        assert events[-1][3] == 1  # the fresh pivot costs exactly one probe
+        assert result.restarts == 1
+        assert result.walk_length == 3  # the restart counts as a step
+
+    def test_trapped_step_still_permutes(self, monkeypatch):
+        # the trapped pivot's permutation is part of the seed's stream; the
+        # engine looks the name up on each call, so the rebinding is seen
+        counts = []
+        real = engine.permuted_indices
+
+        def counting(count, rng):
+            counts.append(count)
+            return real(count, rng)
+
+        monkeypatch.setattr(engine, "permuted_indices", counting)
+        problem, start = line_problem()
+        run_search(SearchConfig(seed=0, probe_limit=5), FixedStart(problem, start))
+        assert counts == [2, 2, 1]
 
     def test_step_never_revisits(self):
+        # the default buffer retains all 432 coordinates; restarts may land
+        # anywhere, but no step moves onto a pivot the walk has held
         problem = tiny_problem(target=-1)  # unreachable: walk keeps going
-        rng = random.Random(11)
-        pivot = problem.random_coordinate(rng)
-        state = WalkState(pivot, problem.objective(pivot), 0, VisitedBuffer())
-        state.visited.add(pivot)
-        seen = {pivot}
-        for _ in range(60):
-            before = set()
-            restarts_before = state.restarts
-            saw_step(state, problem, rng)
-            if state.restarts == restarts_before:
-                assert state.pivot not in seen or state.pivot in state.visited
-                assert state.pivot not in before
-            seen.add(state.pivot)
+        result, events = walk_events(SearchConfig(seed=11, probe_limit=3000), problem)
+        assert result.restarts > 0
+        seen = set()
+        for event, coord, _, _ in events:
+            if event == "step":
+                assert coord not in seen
+            seen.add(coord)
 
 
 class TestRunSearch:
@@ -213,24 +253,9 @@ class TestRunSearch:
         assert res.probe_count >= 500
 
     def test_probe_accounting_matches_objective_calls(self):
-        problem = make_problem("C", n=8, weight_target=4, energy_target=-2)
-        calls = 0
-        real = problem.objective
-
-        class Counting:
-            spec = problem.spec
-            admissible_neighbors = staticmethod(problem.admissible_neighbors)
-            is_solution = staticmethod(problem.is_solution)
-            random_coordinate = staticmethod(problem.random_coordinate)
-
-            @staticmethod
-            def objective(coord):
-                nonlocal calls
-                calls += 1
-                return real(coord)
-
-        res = run_search(SearchConfig(seed=9), Counting())
-        assert calls == res.probe_count
+        problem = Counting(make_problem("C", n=8, weight_target=4, energy_target=-2))
+        res = run_search(SearchConfig(seed=9), problem)
+        assert problem.calls == res.probe_count
 
     def test_best_value_sequence_monotone(self):
         problem = make_problem("C", n=10, weight_target=4, energy_target=-4)
@@ -282,6 +307,17 @@ class TestRunSearch:
         assert sum(res.coordinate.digits[:10]) == 4
         tighter = run_search(SearchConfig(seed=3), problem, target=res.value - 1)
         assert tighter.value <= res.value - 1 or tighter.is_censored
+
+    def test_observer_contract(self):
+        # an all-P chain scores 0 on every feasible fold, so the walk wanders
+        # the 3^9 folds until it traps
+        problem = make_problem("C", n=10, weight_target=0, energy_target=-1, weight_cap=0)
+        result, events = walk_events(SearchConfig(seed=3, probe_limit=60_000), problem)
+        kinds = [event for event, *_ in events]
+        assert kinds[0] == "init" and kinds.count("init") == 1
+        assert len(kinds) - 1 == result.walk_length
+        assert kinds.count("restart") == result.restarts > 0
+        assert sum(probes for *_, probes in events) == result.probe_count
 
     def test_restart_draw_respects_weight_constraint(self):
         # 63 reachable coordinates, unreachable target: restarts are inevitable

@@ -134,16 +134,22 @@ class TestCampaign:
 
 class TestImprovingCampaign:
     def test_bound_ratchets_down(self):
-        config = ExperimentConfig(plan_c(), sample_size=25, base_seed=7)
+        config = ExperimentConfig(plan_c(-2), sample_size=25, base_seed=7)
         bound, rows = improving_campaign(config)
         assert len(rows) == 25
-        assert bound <= -2
-        floor = 0
+        assert bound < -2
+        floor = -2
         for row in rows:
             assert row.is_censored or row.value <= floor
             if not row.is_censored and row.value < floor:
                 floor = row.value
         assert floor == bound
+
+    def test_bound_starts_at_energy_target(self):
+        config = ExperimentConfig(plan_c(-4), sample_size=10, base_seed=8)
+        bound, rows = improving_campaign(config)
+        assert bound == -4
+        assert all(row.value <= -4 for row in rows if not row.is_censored)
 
 
 class TestSerialization:

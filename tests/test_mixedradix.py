@@ -57,8 +57,7 @@ class TestCoordinate:
 
     def test_segment_access(self):
         c = coord(BT22, "10.02")
-        assert c.segment(0) == (1, 0)
-        assert c.segment(1) == (0, 2)
+        assert [c.digits[start:end] for start, end in BT22.segment_bounds] == [(1, 0), (0, 2)]
 
     @pytest.mark.parametrize("text", ["0.21", "011.21", "01.31", "01"])
     def test_bad_text(self, text):
@@ -112,8 +111,8 @@ class TestNeighbors:
     def test_interior_ternary_digits(self):
         got = neighbors(coord(BT22, "10.11"))
         assert len(got) == 6
-        binary_moves = [c for c in got if c.segment(0) != (1, 0)]
-        ternary_moves = [c for c in got if c.segment(1) != (1, 1)]
+        binary_moves = [c for c in got if c.digits[:2] != (1, 0)]
+        ternary_moves = [c for c in got if c.digits[2:] != (1, 1)]
         assert len(binary_moves) == 2 and len(ternary_moves) == 4
 
     def test_digit_range_boundaries(self):
@@ -152,31 +151,20 @@ class TestPermutedIndices:
 
 class TestRandomCoordinate:
     def test_forced_weights(self):
-        spec = RadixSpec(((2, 10),))
         rng = random.Random(1)
-        assert str(random_coordinate(spec, rng, weight=10)) == "1111111111"
-        assert str(random_coordinate(spec, rng, weight=0)) == "0000000000"
-
-    def test_exact_weight_with_ternary_tail(self):
-        spec = RadixSpec(((2, 10), (3, 9)))
-        rng = random.Random(17)
-        for _ in range(50):
-            c = random_coordinate(spec, rng, weight=4)
-            assert sum(c.segment(0)) == 4
+        assert sample_weight_positions(rng, 10, 10) == (1,) * 10
+        assert sample_weight_positions(rng, 10, 0) == (0,) * 10
 
     def test_weight_too_large(self):
         with pytest.raises(ValueError):
-            random_coordinate(RadixSpec(((2, 3),)), random.Random(0), weight=4)
+            sample_weight_positions(random.Random(0), 3, 4)
 
-    def test_weight_segment_must_exist(self):
-        spec = RadixSpec(((2, 4), (3, 2)))
-        for segment in (2, 5, -1):
-            with pytest.raises(ValueError, match="segment"):
-                random_coordinate(spec, random.Random(0), weight=2, weight_segment=segment)
-
-    def test_weight_needs_binary_segment(self):
-        with pytest.raises(ValueError):
-            random_coordinate(RadixSpec(((3, 4),)), random.Random(0), weight=2)
+    def test_stream_order(self):
+        # one randrange(base) per position, left to right
+        spec = RadixSpec(((2, 3), (3, 2), (5, 1)))
+        rng = random.Random(8)
+        expected = tuple(rng.randrange(base) for base in spec.position_bases)
+        assert random_coordinate(spec, random.Random(8)).digits == expected
 
     def test_unconstrained_in_range(self):
         spec = RadixSpec(((2, 2), (4, 3)))
