@@ -140,6 +140,24 @@ class TestBestNeighbor:
             ("step", "0", 1),
         ]
 
+    def test_trapped_raises(self, monkeypatch):
+        # every admissible neighbor of the pivot is already visited: the step
+        # rule finds no move, probes nothing and hands over to a restart
+        problem = tiny_problem()
+        pivot = parse_coordinate(problem.spec, "0000.000")
+        real = engine.VisitedBuffer
+
+        def prefilled(capacity):
+            buf = real(capacity)
+            for nb in problem.admissible_neighbors(pivot):
+                buf.add(nb)
+            return buf
+
+        monkeypatch.setattr(engine, "VisitedBuffer", prefilled)
+        result, events = walk_events(SearchConfig(seed=0, probe_limit=2), FixedStart(problem, pivot))
+        assert [(event, probes) for event, _, _, probes in events] == [("init", 1), ("restart", 1)]
+        assert result.restarts == 1 and result.probe_count == 2
+
     def test_uphill_step_taken(self):
         # pivot is the goal itself: every neighbor is worse, one is still chosen
         spec = RadixSpec(((3, 2),))
