@@ -11,6 +11,13 @@ the chain collides.
 Three search formulations are supported: plan A fixes the colors and folds
 the chain, plan B fixes the fold and searches colors (the inverse problem),
 and plan C searches both segments simultaneously under a weight cap.
+
+One memoized fold record (``_fold_analysis``) decodes folds and lists their
+contacts for every caller.  Plan A, whose every move changes one turn, also
+values the turn moves of a feasible pivot from lattice bitboards of that
+pivot (``_PivotBoards``): each move rotates the chain's tail rigidly about
+one bead, so its collisions and new contacts are a few big-int operations
+against the pivot's head.
 """
 from __future__ import annotations
 
@@ -19,6 +26,8 @@ import pickle
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate, compress
+from operator import add, and_, or_
 from typing import Callable, Optional, Sequence, Union
 
 from sawalk.mixedradix import Coordinate, RadixSpec, sample_weight_positions
@@ -88,7 +97,9 @@ def _trace(turns: Sequence[int]) -> list[int]:
 
 # 1 << 16 entries hold all 3**9 = 19,683 folds of a 10-bead chain, which a
 # serial n=10 campaign revisits run after run; 4096 entries would still serve
-# an n=20 colour walk but drop that campaign from 98% to 87% hits
+# an n=20 colour walk but drop that campaign from 98% to 87% hits.  A plan A
+# walk values its turn moves from the pivot's bitboards (_PivotBoards), so it
+# fills the cache with its pivots and draws only, not with every probe.
 @lru_cache(maxsize=1 << 16)
 def _fold_analysis(turns: tuple[int, ...]) -> tuple[Optional[int], int, tuple[tuple[int, int], ...]]:
     """The one fold record: (first collision, collision count, contact pairs).
@@ -129,6 +140,131 @@ def _fold_analysis(turns: tuple[int, ...]) -> tuple[Optional[int], int, tuple[tu
 def _unpack(p: int) -> tuple[int, int]:
     y = ((p + (1 << 15)) & (_X - 1)) - (1 << 15)
     return (p - y) >> 16, y
+
+
+# Plan A turn moves valued from their pivot.  Changing turn k from digit d to
+# e turns the headings of steps k.. by _QUARTERS[e] - _QUARTERS[d] quarter
+# turns clockwise, which rotates beads k+1.. rigidly about bead k: a pivot
+# move (Madras & Sokal 1988).  Beads 0..k, the head, stay where they are.
+_QUARTERS = _TURNED[0]
+# _MOVE_ROTATIONS[d]: the quarter turns of the moves from turn digit d to
+# d - 1 and d + 1, in that order, as admissible_neighbors lists them
+_MOVE_ROTATIONS = tuple(
+    tuple((_QUARTERS[e] - _QUARTERS[d]) & 3 for e in (d - 1, d + 1) if 0 <= e <= 2)
+    for d in range(3)
+)
+
+# Bitboard layout.  Bead 0 sits at the origin and m >= 1 is the pivot's
+# largest |x| or |y|, so the pivot and its rotations about the origin lie in
+# [-m, m]^2.  Move (k, r) keeps the tail rotated by r about the origin and
+# places the head against it, shifted by R P_k - P_k, whose coordinates lie
+# in [-2m, 2m]; the placed head lies in [-3m, 3m]^2.  Cell (x, y) is bit
+# origin + x + stride * y, with stride 4m + 2 and origin (m + 1)(stride + 1):
+# - a tail cell and a placed head cell, or its lattice neighbour, differ in x
+#   by at most 4m + 1 < stride, so equal bit indices mean equal cells, and
+#   a head cell past the end of its row cannot pose as a tail cell;
+# - the cells of [-m - 1, m + 1]^2 have indices >= 0, so the head cells that
+#   a right shift drops below bit 0 can neither meet nor touch the tail.
+#
+# Memory: each of the 4(n + 1) prefix ints and 4 H-cell ints (four
+# rotations) has bits below stride * (2m + 2), so the boards take about
+# 2(n + 2)(2m + 1)(m + 1) bytes.  Pivots past _BOARD_BYTES (a long chain, or
+# one stretched far from bead 0) keep the fold record path: n = 25 fits
+# whatever the fold (m <= 24: 66 kB), n = 1000 fits while m <= 44.
+_BOARD_BYTES = 1 << 23
+
+
+class _PivotBoards:
+    """A feasible plan A pivot as lattice bitboards, for valuing its turn moves.
+
+    ``cells[r][j]`` is the OR of the cells of beads 0..j-1 with the fold
+    rotated r quarter turns clockwise about the origin, and ``h_cells[r]``
+    that of all its H beads.  Move (k, r) meets the rotated tail
+    ``cells[r][n] ^ cells[r][k + 1]`` with the head ``cells[0][k + 1]``,
+    shifted by bead k's offset between the two placements.  Collisions are
+    their common cells, and the H-H contacts across bead k are four shifted
+    ANDs of their H cells: a feasible value takes a fixed number of big-int
+    operations, a penalty a binary search for the first collision more.
+    Both equal the fold record's.
+    """
+
+    __slots__ = ("stride", "placements", "cells", "h_cells", "base")
+
+    def __init__(
+        self, bits: Sequence[int], headings: list[int], m: int, pairs: Sequence[tuple[int, int]]
+    ):
+        n = len(bits)
+        stride = self.stride = 4 * m + 2
+        origin = (m + 1) * (stride + 1)
+        # rotating the fold r quarter turns clockwise adds r to every heading
+        steps = (stride, 1, -stride, -1)  # up, right, down, left
+        self.placements = [
+            list(accumulate(map(((steps[r:] + steps[:r]) * n).__getitem__, headings), initial=origin))
+            for r in range(4)
+        ]
+        self.cells = [
+            list(accumulate(map((1).__lshift__, cells), or_, initial=0))
+            for cells in self.placements
+        ]
+        self.h_cells = [
+            sum(map((1).__lshift__, compress(cells, bits))) for cells in self.placements
+        ]
+        # base[k]: move k's value before its H-H contacts across bead k are
+        # counted: the pivot's other H-H contacts, negated, plus the bond
+        # (k, k+1), which the shifted ANDs count when both beads are H
+        across = [0] * n
+        for i, j in pairs:
+            if bits[i] and bits[j]:
+                across[0] -= 1
+                across[i] += 1
+                across[j] -= 1
+        self.base = list(map(add, accumulate(across), map(and_, bits, bits[1:])))
+
+    def value(self, k: int, r: int, penalty: PenaltyFn) -> int:
+        """Value of the fold with beads k+1.. rotated r quarter turns about bead k."""
+        cells = self.cells[r]
+        n = len(cells) - 1
+        shift = self.placements[r][k] - self.placements[0][k]
+        head = self.cells[0][k + 1]
+        head = head << shift if shift >= 0 else head >> -shift
+        tail = cells[n] ^ cells[k + 1]
+        if head & tail:
+            # tail beads are distinct and meet only head cells, so the first
+            # collision is the lowest tail bead on a head cell: the last
+            # bead j whose tail prefix k+1..j-1 misses the head
+            lo, hi = k + 1, n - 1
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if head & (cells[mid + 1] ^ cells[k + 1]):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return penalty(n, lo, (head & tail).bit_count())
+        h_cells = self.h_cells[0]
+        h_head = head & (h_cells << shift if shift >= 0 else h_cells >> -shift)
+        h_tail = tail & self.h_cells[r]
+        w = self.stride
+        return self.base[k] - (
+            ((h_head << 1) & h_tail).bit_count()
+            + ((h_head >> 1) & h_tail).bit_count()
+            + ((h_head << w) & h_tail).bit_count()
+            + ((h_head >> w) & h_tail).bit_count()
+        )
+
+
+def _pivot_boards(
+    bits: Sequence[int], turns: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> Optional[_PivotBoards]:
+    """Boards of a feasible pivot, or None past the _BOARD_BYTES bound."""
+    n = len(bits)
+    # heading of step j, unreduced: step j goes _STEP[headings[j] & 3]
+    headings = list(accumulate(map(_QUARTERS.__getitem__, turns)))
+    xs = list(accumulate(map(((0, 1, 0, -1) * n).__getitem__, headings), initial=0))
+    ys = list(accumulate(map(((1, 0, -1, 0) * n).__getitem__, headings), initial=0))
+    m = max(max(xs), -min(xs), max(ys), -min(ys))
+    if 2 * (n + 2) * (2 * m + 1) * (m + 1) > _BOARD_BYTES:
+        return None
+    return _PivotBoards(bits, headings, m, pairs)
 
 
 def _turn_digits(ternary: Digits) -> tuple[int, ...]:
@@ -270,7 +406,18 @@ class HPProblem:
     def split(self, coord: Coordinate) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return coord.digits[: self.n], coord.digits[self.n :]
 
-    def objective(self, coord: Coordinate) -> int:
+    @cached_property
+    def objective(self) -> Callable[[Coordinate], int]:
+        """Energy of a coordinate's fold (-H-H contacts), or its penalty.
+
+        Plan A values the turn moves of its latest pivot from that pivot's
+        bitboards and everything else from the fold record; plans B and C
+        always read the record.  The choice is made once per problem, so no
+        probe pays for a plan test.
+        """
+        return self._turn_move_objective if self.plan == "A" else self._record_objective
+
+    def _record_objective(self, coord: Coordinate) -> int:
         # unchecked: coordinates were validated when they were built
         bits = coord.digits
         n = self.n
@@ -278,6 +425,26 @@ class HPProblem:
         if collisions:
             return self.penalty(n, first, collisions)
         return -_hh_count(pairs, bits)
+
+    # (boards, {candidate digits: (k, r)}) of the latest plan A pivot, empty
+    # until admissible_neighbors meets a feasible pivot.  Not annotated, so
+    # not a dataclass field: equality and hashing ignore the instance copy,
+    # and __getstate__ leaves it out of pickles.
+    _turn_moves = (None, {})
+
+    def _turn_move_objective(self, coord: Coordinate) -> int:
+        boards, moves = self._turn_moves
+        move = moves.get(coord.digits)
+        if move is None:
+            return self._record_objective(coord)
+        return boards.value(*move, self.penalty)
+
+    def __getstate__(self) -> dict:
+        # the bound objective and the pivot's boards are rebuilt on use
+        state = dict(self.__dict__)
+        state.pop("objective", None)
+        state.pop("_turn_moves", None)
+        return state
 
     def admissible_neighbors(self, coord: Coordinate) -> list[Coordinate]:
         """Distance-1 moves the plan admits, position-major, -1 before +1.
@@ -310,7 +477,26 @@ class HPProblem:
                     scratch[i] = d + 1
                     append(make(spec, tuple(scratch)))
                 scratch[i] = d
+        if self.plan == "A":
+            self._index_turn_moves(digits, result)
         return result
+
+    def _index_turn_moves(self, digits: tuple[int, ...], candidates: list[Coordinate]) -> None:
+        """Point the plan A objective at this pivot's turn moves.
+
+        Moves are keyed by their candidate's exact digits, so a key found is
+        a move of this pivot whatever order the calls come in.  A colliding
+        pivot, or one past the memory bound, indexes no move.
+        """
+        n = self.n
+        bits, turns = digits[:n], digits[n:]
+        _, collisions, pairs = _fold_analysis(turns)
+        boards = None if collisions else _pivot_boards(bits, turns, pairs)
+        moves = {}
+        if boards is not None:
+            turned = [(k, r) for k, d in enumerate(turns) for r in _MOVE_ROTATIONS[d]]
+            moves = {c.digits: move for c, move in zip(candidates, turned)}
+        object.__setattr__(self, "_turn_moves", (boards, moves))
 
     def is_solution(self, coord: Coordinate, value: int, target: Optional[int] = None) -> bool:
         """Stop test: value at or below target and exact target weight."""

@@ -5,6 +5,7 @@ that is meant to keep behaviour (a refactor, a speed-up) must leave every
 pin as it is; a change that is meant to alter behaviour must say so and
 re-pin.
 """
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from sawalk.instances import load_instances
 from sawalk.oracle import enumerate_optimum, merge_reports, report_text
 from sawalk.render import ascii_conformation
 
-HP10 = Path(__file__).resolve().parent.parent / "instances" / "hp10.instances"
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+HP10 = INSTANCES / "hp10.instances"
+LITERATURE = INSTANCES / "hp_literature.instances"
 BASE_SEED = 1901
 
 
@@ -53,6 +56,38 @@ def test_improving_campaign_csv(hp10):
     assert sha256(rows_csv(rows)) == (
         "31360ed3dc35f1ced0cb5d981c2e3de06c331eafac75359c37e5b3833cf49d41"
     )
+
+
+def test_improving_campaign_ratchets_csv(hp10):
+    # from target -1 the bound ratchets to -2 and then -3: 16 rows at -2, 4 at -3
+    problem = dataclasses.replace(hp10["A"], energy_target=-1)
+    bound, rows = improving_campaign(
+        ExperimentConfig(problem, sample_size=20, base_seed=BASE_SEED)
+    )
+    assert bound == -3
+    assert [row.value for row in rows].count(-3) == 4
+    assert sha256(rows_csv(rows)) == (
+        "e8480f43c43cd8a8af8a402acfefc766e503442890706c4f05f3684e1f9fd0b3"
+    )
+
+
+@pytest.mark.parametrize(
+    "index, digest",
+    [
+        # plan A n=20, 24,615 probes
+        (0, "c5d36231e27064745820a28d7f150515bd485cc79b542f824db07cf1b5740aaf"),
+        # plan A n=25, 108,826 probes
+        (4, "7e92a7607141e3db8252ed7155734a9e57209b9ba3b7a930736aa3a54c9eddd9"),
+    ],
+)
+def test_solve_csv_plan_a_literature(tmp_path, capsys, index, digest):
+    out = tmp_path / "row.csv"
+    main([
+        "solve", "--instance", str(LITERATURE), "--index", str(index),
+        "--base-seed", "1", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert sha256(out.read_text()) == digest
 
 
 def test_solve_csv(tmp_path, capsys):

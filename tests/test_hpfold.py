@@ -1,8 +1,12 @@
+import pickle
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sawalk.engine import SearchConfig, run_search
 from sawalk.hpfold import (
     MAX_BEADS,
     contact_pairs,
@@ -420,3 +424,133 @@ class TestFoldSymmetries:
                 if decode_fold(turns).feasible
             )
             assert forward == backward
+
+
+
+def steep_penalty(n, first_collision, collision_count):
+    # weighs its two inputs apart, so swapping them changes the value
+    return 100 * collision_count + 7 * (n - first_collision)
+
+
+_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # headings up, right, down, left
+
+
+def _grown_turns(rng, n):
+    """Turns of a random fold grown bead by bead onto free cells.
+
+    A growth that boxes itself in goes on through a collision, so most
+    folds are feasible and a few are not.
+    """
+    x = y = h = 0
+    seen = {(0, 0)}
+    turns = []
+    for _ in range(n - 1):
+        moves = []
+        for t in (0, 1, 2):
+            g = (h + (3, 1, 0)[t]) % 4
+            cell = (x + _STEPS[g][0], y + _STEPS[g][1])
+            moves.append((cell in seen, rng.random(), t, g, cell))
+        _, _, t, h, (x, y) = min(moves)
+        seen.add((x, y))
+        turns.append(t)
+    return turns
+
+
+colorings = st.integers(3, 40).flatmap(
+    lambda n: st.one_of(
+        st.just((1,) * n),
+        st.just((0,) * n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+    )
+)
+
+
+class TestTurnMoveValues:
+    """Plan A values its pivot's turn moves from bitboards; they must equal
+    the fold record's values whatever the pivot, colours, penalty or order."""
+
+    @staticmethod
+    def _assert_exact(problem, candidates):
+        n = problem.n
+        for c in candidates:
+            expected = objective_value(c.digits[:n], c.digits[n:], problem.penalty)
+            assert problem.objective(c) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        colorings,
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.sampled_from([default_penalty, steep_penalty]),
+    )
+    def test_neighbours_match_the_record(self, bits, seed, grown, penalty):
+        n = len(bits)
+        rng = random.Random(seed)
+        problem = make_problem("A", coord_b=bits, energy_target=0, penalty=penalty)
+        if grown:
+            turns = _grown_turns(rng, n)
+        else:
+            turns = [rng.randrange(3) for _ in range(n - 1)]
+        pivot = problem.coordinate(bits, turns)
+        candidates = problem.admissible_neighbors(pivot)
+        if decode_fold(turns).feasible:
+            # the bitboards, not the record, value every move of a feasible pivot
+            assert len(problem._turn_moves[1]) == len(candidates)
+        self._assert_exact(problem, candidates)
+
+    def test_colliding_and_feasible_moves_of_one_pivot(self):
+        # a straight 12-bead chain: bending it back collides, bending it once does not
+        problem = make_problem("A", coord_b="110100110111", energy_target=0)
+        pivot = problem.coordinate("110100110111", "2" * 11)
+        values = [problem.objective(c) for c in problem.admissible_neighbors(pivot)]
+        assert values == [0] * len(values)
+        folded = problem.coordinate("110100110111", "20110220110")
+        candidates = problem.admissible_neighbors(folded)
+        assert len(problem._turn_moves[1]) == len(candidates)
+        values = [problem.objective(c) for c in candidates]
+        assert min(values) == -2 and max(values) == 8
+        self._assert_exact(problem, candidates)
+
+    def test_stale_table_and_other_problem(self):
+        rng = random.Random(11)
+        bits = tuple(rng.randrange(2) for _ in range(16))
+        problem = make_problem("A", coord_b=bits, energy_target=0)
+        other = make_problem("A", coord_b=(1,) * 16, energy_target=0, penalty=steep_penalty)
+        first = problem.coordinate(bits, _grown_turns(rng, 16))
+        earlier = problem.admissible_neighbors(first)
+        foreign = other.admissible_neighbors(other.coordinate((1,) * 16, _grown_turns(rng, 16)))
+        later = problem.admissible_neighbors(earlier[3])
+        # the earlier pivot's moves, mostly outside the new table, in any order
+        self._assert_exact(problem, earlier[::-1] + later + earlier)
+        self._assert_exact(other, foreign)
+        # another problem's coordinates, valued by this one, read the record
+        for c in foreign:
+            assert problem.objective(c) == objective_value(c.digits[:16], c.digits[16:])
+
+    def test_chain_past_the_memory_bound_reads_the_record(self):
+        # a straight 130-bead chain reaches 129 cells from bead 0: its boards
+        # would take about 2 * 132 * 259 * 130 bytes, past the 8 MiB bound
+        bits = tuple(random.Random(5).randrange(2) for _ in range(130))
+        problem = make_problem("A", coord_b=bits, energy_target=0)
+        pivot = problem.coordinate(bits, (2,) * 129)
+        candidates = problem.admissible_neighbors(pivot)
+        assert problem._turn_moves == (None, {})
+        self._assert_exact(problem, candidates)
+        # folded into a 10-wide serpentine the same chain fits, and stays exact
+        serpentine = ([2] * 9 + [1, 1] + [2] * 8 + [0, 0]) * 7
+        pivot = problem.coordinate(bits, serpentine[:129])
+        candidates = problem.admissible_neighbors(pivot)
+        assert len(problem._turn_moves[1]) == len(candidates)
+        self._assert_exact(problem, candidates)
+
+    def test_walked_problem_pickles_and_compares_as_new(self):
+        walked = make_problem("A", coord_b="10100110100101100101", energy_target=-9)
+        fresh = make_problem("A", coord_b="10100110100101100101", energy_target=-9)
+        result = run_search(SearchConfig(seed=3, probe_limit=3000), walked)
+        assert walked._turn_moves[1]
+        assert walked == fresh and hash(walked) == hash(fresh)
+        fresh.spec  # the cached spec is pickled, the pivot state is not
+        assert pickle.dumps(walked) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(walked))
+        assert restored == walked
+        assert run_search(SearchConfig(seed=3, probe_limit=3000), restored) == result
