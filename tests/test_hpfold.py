@@ -498,19 +498,6 @@ class TestTurnMoveValues:
             assert len(problem._turn_moves[1]) == len(candidates)
         self._assert_exact(problem, candidates)
 
-    def test_colliding_and_feasible_moves_of_one_pivot(self):
-        # a straight 12-bead chain: bending it back collides, bending it once does not
-        problem = make_problem("A", coord_b="110100110111", energy_target=0)
-        pivot = problem.coordinate("110100110111", "2" * 11)
-        values = [problem.objective(c) for c in problem.admissible_neighbors(pivot)]
-        assert values == [0] * len(values)
-        folded = problem.coordinate("110100110111", "20110220110")
-        candidates = problem.admissible_neighbors(folded)
-        assert len(problem._turn_moves[1]) == len(candidates)
-        values = [problem.objective(c) for c in candidates]
-        assert min(values) == -2 and max(values) == 8
-        self._assert_exact(problem, candidates)
-
     def test_stale_table_and_other_problem(self):
         rng = random.Random(11)
         bits = tuple(rng.randrange(2) for _ in range(16))
