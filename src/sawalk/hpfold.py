@@ -230,8 +230,7 @@ class _PivotBoards:
         tail = cells[n] ^ cells[k + 1]
         if head & tail:
             # tail beads are distinct and meet only head cells, so the first
-            # collision is the lowest tail bead on a head cell: the last
-            # bead j whose tail prefix k+1..j-1 misses the head
+            # collision is the least j whose tail beads k+1..j meet the head
             lo, hi = k + 1, n - 1
             while lo < hi:
                 mid = (lo + hi) >> 1

@@ -426,7 +426,6 @@ class TestFoldSymmetries:
             assert forward == backward
 
 
-
 def steep_penalty(n, first_collision, collision_count):
     # weighs its two inputs apart, so swapping them changes the value
     return 100 * collision_count + 7 * (n - first_collision)
