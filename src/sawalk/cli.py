@@ -202,7 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="enumerate a small domain exhaustively")
     _add_problem_args(oracle)
     oracle.add_argument("--domain-cap", type=int, default=DEFAULT_DOMAIN_CAP)
-    oracle.add_argument("--workers", type=int, default=1)
+    oracle.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes, each scanning whole rotation classes; plan B is scanned in one process",
+    )
     oracle.add_argument("--threshold", type=int, help="also count pairs at or below this value")
     oracle.add_argument("--out", help="write the report to this file")
     oracle.set_defaults(func=_cmd_oracle)
@@ -228,9 +233,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         # a refused input (a bad segment, an unreachable weight, a domain
-        # over the cap) is a one-line usage error, not a traceback
+        # over the cap, a file that cannot be read or written) is a
+        # one-line usage error, not a traceback
         raise SystemExit(str(err)) from err
 
 

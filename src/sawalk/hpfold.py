@@ -311,13 +311,6 @@ def contacts(outcome: FoldOutcome, binary: Digits) -> int:
     return _hh_count(outcome.pairs, bits)
 
 
-def contact_pairs(outcome: FoldOutcome) -> list[tuple[int, int]]:
-    """Index pairs (i, j), j > i + 1, whose beads are lattice-adjacent, sorted."""
-    if not outcome.feasible:
-        raise ValueError("contact pairs are defined only for feasible folds")
-    return list(outcome.pairs)
-
-
 def default_penalty(n: int, first_collision: int, collision_count: int) -> int:
     """Infeasibility score: earlier and more numerous collisions are worse.
 

@@ -3,23 +3,15 @@
 Enumerates every solution-eligible coordinate pair of a problem (the fixed
 segment for plans A/B, exact-target-weight colors for plans B/C, all turn
 strings otherwise), recording the exact minimum, every minimizer, and the
-full objective-value histogram.  Enumeration order is fixed and documented,
-so a scan can be split into index ranges that run in parallel or resume
-from a checkpoint and merge associatively:
+full objective-value histogram.
 
-    flat index = ternary_index * (number of binaries) + binary_index
-
-where ternary strings follow itertools.product order (rightmost digit
-fastest) and weight-w binaries follow itertools.combinations of the
-one-positions.  The first turn digit only rotates a fold, so the ternary
-indices fall into three blocks of R = 3^(n-2) folds, one per first digit,
-and fold r of each block is a rotation of the same conformation.  The scan
-decodes each such rotation class once, and with W workers, worker w of
-plans A and C takes the rests [R*w/W, R*(w+1)/W) of all three blocks (three
-ranges), so no class is decoded twice; plan B's workers take contiguous
-chunks of its colourings.  Checkpoints are a library feature: scan a slice
-with ``enumerate_optimum(start=, count=)`` and combine slices with
-``merge_reports``.  The CLI always scans the whole domain.
+The unit of work is the rotation class.  The first turn digit only rotates
+a fold, so plans A and C have C = 3^(n-2) classes, the canonical turns
+(2, *rest) in itertools.product order (rightmost digit fastest), each
+standing for its 3 folds; plan B's one fold is its one class.  A scan of
+classes [lo, hi) decodes each class once and scores it on every colouring.
+With W workers, worker w scans classes [C*w/W, C*(w+1)/W) and the reports
+merge associatively with ``merge_reports``.
 """
 from __future__ import annotations
 
@@ -27,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 from math import comb
-from typing import Iterator, Optional
 
 from sawalk.hpfold import HPProblem, _fold_analysis, _require_picklable_penalty
 from sawalk.mixedradix import SpaceTooLargeError
@@ -83,14 +74,11 @@ def _binaries(problem: HPProblem) -> list[tuple[int, ...]]:
     return bits_list
 
 
-def _num_binaries(problem: HPProblem) -> int:
-    return 1 if problem.plan == "A" else comb(problem.n, problem.weight_target)
-
-
 def domain_size(problem: HPProblem) -> int:
     """Number of solution-eligible (colors, turns) pairs."""
-    ternaries = 1 if problem.plan == "B" else 3 ** (problem.n - 1)
-    return _num_binaries(problem) * ternaries
+    colorings = 1 if problem.plan == "A" else comb(problem.n, problem.weight_target)
+    folds = 1 if problem.plan == "B" else 3 ** (problem.n - 1)
+    return colorings * folds
 
 
 def _bead_masks(binaries: list[tuple[int, ...]], n: int) -> list[int]:
@@ -99,19 +87,19 @@ def _bead_masks(binaries: list[tuple[int, ...]], n: int) -> list[int]:
 
 
 def _score_colorings(
-    pairs: tuple[tuple[int, int], ...], beads: list[int], lo: int, hi: int
+    pairs: tuple[tuple[int, int], ...], beads: list[int], span: int
 ) -> tuple[dict[int, int], int, int]:
-    """Value counts, minimum and minimizing colourings [lo, hi) of one feasible fold.
+    """Value counts, minimum and minimizing colourings of one feasible fold.
 
-    Bit-sliced: one AND per contact pair marks every colouring that makes
-    both beads H, and a ripple-carry counter of bit planes sums the marks,
-    so colouring b's contact count is bit b of the planes read as a binary
-    number.  The minimizers come back as a bit mask over colouring indices.
+    ``span`` has one bit set per colouring.  Bit-sliced: one AND per
+    contact pair marks every colouring that makes both beads H, and a
+    ripple-carry counter of bit planes sums the marks, so colouring b's
+    contact count is bit b of the planes read as a binary number.  The
+    minimizers come back as a bit mask over colouring indices.
     """
-    span = (1 << hi) - (1 << lo)
     planes: list[int] = []
     for i, j in pairs:
-        carry = beads[i] & beads[j] & span
+        carry = beads[i] & beads[j]
         k = 0
         while carry:
             if k == len(planes):
@@ -141,65 +129,8 @@ def _bit_indices(bits: int) -> list[int]:
     return indices
 
 
-def _canonical_ternary(t_idx: int, n: int) -> tuple[int, ...]:
-    """Canonical turns of the fold at position ``t_idx`` of itertools.product order."""
-    digits = []
-    for _ in range(n - 2):
-        t_idx, d = divmod(t_idx, 3)
-        digits.append(d)
-    return (2, *reversed(digits))
-
-
-def _folds(
-    problem: HPProblem, ranges: list[tuple[int, int]]
-) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    """Yield (turns, lo, hi, folds) for every fold the disjoint flat ranges touch.
-
-    Each fold is scanned on colourings [lo, hi) and stands for ``folds``
-    folds.  The first turn digit only rotates a fold, and a rotation keeps
-    the fold record, so plans A and C yield each rotation class once, as its
-    canonical turns (2, *rest), counting the first digits whose fold the
-    ranges cover whole.  Only the first and last fold of a range can cover
-    part of the colourings; they come one by one.
-    """
-    if problem.plan == "B":  # one fold, reported as given
-        for start, stop in ranges:
-            if start < stop:
-                yield problem.fixed_ternary, start, stop, 1
-        return
-    n = problem.n
-    num_b = _num_binaries(problem)
-    rests = 3 ** (n - 2)  # folds per first digit
-    edges: dict[int, int] = {}  # +1/-1 where a whole-fold run of rests starts/ends
-    for start, stop in ranges:
-        t_lo, b_lo = divmod(start, num_b)
-        t_hi, b_hi = divmod(stop, num_b)
-        if t_lo == t_hi:
-            if b_lo < b_hi:
-                yield _canonical_ternary(t_lo, n), b_lo, b_hi, 1
-            continue
-        if b_lo:
-            yield _canonical_ternary(t_lo, n), b_lo, num_b, 1
-            t_lo += 1
-        if b_hi:
-            yield _canonical_ternary(t_hi, n), 0, b_hi, 1
-        for block in range(0, 3 * rests, rests):
-            lo, hi = max(t_lo, block) - block, min(t_hi, block + rests) - block
-            if lo < hi:
-                edges[lo] = edges.get(lo, 0) + 1
-                edges[hi] = edges.get(hi, 0) - 1
-    covered = 0
-    for edge in sorted(edges):
-        if covered:
-            canonical = product((2,), *[range(3)] * (n - 2))
-            for turns in islice(canonical, previous, edge):
-                yield turns, 0, num_b, covered
-        covered += edges[edge]
-        previous = edge
-
-
-def _scan(problem: HPProblem, ranges: list[tuple[int, int]]) -> OracleReport:
-    """Evaluate the flat indices of disjoint ranges [start, stop) of the enumeration."""
+def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
+    """Score rotation classes [lo, hi) on all their colourings."""
     n = problem.n
     penalty = problem.penalty
     # uncached: a scan decodes each fold once, so it must neither fill nor
@@ -207,26 +138,29 @@ def _scan(problem: HPProblem, ranges: list[tuple[int, int]]) -> OracleReport:
     analyse = _fold_analysis.__wrapped__
     binaries = _binaries(problem)
     beads = _bead_masks(binaries, n)
+    span = (1 << len(binaries)) - 1
+    if problem.plan == "B":  # one fold, reported as given
+        classes, per_class = [problem.fixed_ternary][lo:hi], 1
+    else:  # a rotation keeps the fold record, so a class scores as 3 folds
+        classes, per_class = islice(product((2,), *[range(3)] * (n - 2)), lo, hi), 3
 
-    # one counter per (fold record, lo, hi), since a fold's colourings score
-    # alike whenever its record does: [folds, value counts, best value,
-    # minimizing colourings]
+    # one counter per fold record, since folds score alike whenever their
+    # records do: [folds, value counts, best value, minimizing colourings]
     scored: dict[tuple, list] = {}
     min_value = float("inf")
     argmin: list[tuple[int, tuple[int, ...]]] = []  # (minimizing colourings, turns)
-    for turns, lo, hi, folds in _folds(problem, ranges):
+    for turns in classes:
         record = analyse(turns)
-        key = (record, lo, hi)
-        entry = scored.get(key)
+        entry = scored.get(record)
         if entry is None:
             first, collisions, pairs = record
             if collisions:
                 value = penalty(n, first, collisions)
-                entry = [0, {value: hi - lo}, value, (1 << hi) - (1 << lo)]
+                entry = [0, {value: len(binaries)}, value, span]
             else:
-                entry = [0, *_score_colorings(pairs, beads, lo, hi)]
-            scored[key] = entry
-        entry[0] += folds
+                entry = [0, *_score_colorings(pairs, beads, span)]
+            scored[record] = entry
+        entry[0] += per_class
         best = entry[2]
         if best <= min_value:
             if best < min_value:
@@ -245,72 +179,39 @@ def _scan(problem: HPProblem, ranges: list[tuple[int, int]]) -> OracleReport:
         for b in _bit_indices(best_bits)
     }
     return OracleReport(
-        min_value=min_value if histogram else 0,
+        min_value=min_value,
         argmin=tuple(sorted(keys)),
         evaluations=sum(histogram.values()),
         histogram=histogram,
     )
 
 
-def _worker_ranges(
-    problem: HPProblem, start: int, stop: int, workers: int
-) -> list[list[tuple[int, int]]]:
-    """Split [start, stop) into at most ``workers`` non-empty lists of ranges:
-    whole rotation classes for plans A and C, contiguous chunks for plan B."""
-    if problem.plan == "B":
-        bounds = [start + (stop - start) * w // workers for w in range(workers + 1)]
-        splits = [[(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
-    else:
-        num_b = _num_binaries(problem)
-        rests = 3 ** (problem.n - 2)
-        splits = [
-            [
-                ((block + rests * w // workers) * num_b, (block + rests * (w + 1) // workers) * num_b)
-                for block in range(0, 3 * rests, rests)
-            ]
-            for w in range(workers)
-        ]
-    shares = []
-    for split in splits:
-        share = [(max(lo, start), min(hi, stop)) for lo, hi in split]
-        share = [(lo, hi) for lo, hi in share if lo < hi]
-        if share:
-            shares.append(share)
-    return shares
-
-
 def enumerate_optimum(
     problem: HPProblem,
     domain_cap: int = DEFAULT_DOMAIN_CAP,
-    start: int = 0,
-    count: Optional[int] = None,
     workers: int = 1,
 ) -> OracleReport:
-    """Scan the problem's whole eligible domain (or a checkpoint slice).
+    """Scan the problem's whole eligible domain.
 
     Refuses domains larger than ``domain_cap`` rather than starting a scan
-    that cannot finish.  With ``workers`` > 1 the range is split among
-    worker processes (see ``_worker_ranges``) and their reports merged;
-    fewer than one worker is refused.
+    that cannot finish.  With ``workers`` > 1 the rotation classes are split
+    into contiguous ranges, one per worker process, and the reports merged;
+    a single non-empty range is scanned in this process.  Fewer than one
+    worker is refused.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     size = domain_size(problem)
     if size > domain_cap:
         raise SpaceTooLargeError(size, domain_cap)
-    stop = size if count is None else min(size, start + count)
-    if not 0 <= start <= stop:
-        raise ValueError(f"bad scan range [{start}, {stop})")
-    if start == stop:
-        return OracleReport(0, (), 0, {})
-    if workers <= 1:
-        return _scan(problem, [(start, stop)])
+    classes = 1 if problem.plan == "B" else 3 ** (problem.n - 2)
+    bounds = [classes * w // workers for w in range(workers + 1)]
+    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if len(ranges) == 1:
+        return _scan(problem, *ranges[0])
     _require_picklable_penalty(problem)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_scan, problem, ranges)
-            for ranges in _worker_ranges(problem, start, stop, workers)
-        ]
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(_scan, problem, lo, hi) for lo, hi in ranges]
         return merge_reports([f.result() for f in futures])
 
 

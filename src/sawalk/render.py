@@ -9,7 +9,6 @@ from __future__ import annotations
 from sawalk.hpfold import (
     Digits,
     as_digits,
-    contact_pairs,
     decode_fold,
     weight,
 )
@@ -22,11 +21,7 @@ def _fold_or_raise(coord_b: Digits, coord_t: Digits):
         raise ValueError(f"collision at bead {outcome.first_collision_index}")
     if len(bits) != len(outcome.positions):
         raise ValueError("color and turn segments describe different chain lengths")
-    hh = [
-        (i, j)
-        for i, j in contact_pairs(outcome)
-        if bits[i] and bits[j]
-    ]
+    hh = [(i, j) for i, j in outcome.pairs if bits[i] and bits[j]]
     return bits, outcome, hh
 
 

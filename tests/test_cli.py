@@ -35,6 +35,11 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main("solve --instance instances/hp10.instances --index 9".split())
 
+    def test_missing_instance_file_is_one_line(self, tmp_path):
+        missing = tmp_path / "nosuch.instances"
+        with pytest.raises(SystemExit, match="No such file or directory"):
+            main(["solve", "--instance", str(missing)])
+
     def test_missing_problem_flags(self):
         with pytest.raises(SystemExit):
             main(["solve"])
@@ -99,6 +104,14 @@ class TestExperiment:
         payload = json.loads(out.read_text())
         assert payload["stats"]["sampleSize"] == 5
         assert len(payload["rows"]) == 5
+
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "nosuch" / "x.csv"
+        with pytest.raises(SystemExit, match="No such file or directory"):
+            main(
+                f"experiment --plan C --length 6 --weight 3 --target -1 --seeds 2 --out {out}".split()
+            )
+        capsys.readouterr()
 
     def test_improve_mode(self, capsys):
         code = main(

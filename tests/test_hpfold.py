@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sawalk.engine import SearchConfig, run_search
 from sawalk.hpfold import (
     MAX_BEADS,
-    contact_pairs,
     contacts,
     decode_fold,
     default_penalty,
@@ -95,7 +94,7 @@ class TestContacts:
             contacts(decode_fold("211011011"), "3003003003")
 
     def test_contact_pairs_skip_consecutive(self):
-        pairs = contact_pairs(decode_fold("200100100"))
+        pairs = decode_fold("200100100").pairs
         assert all(j > i + 1 for i, j in pairs)
         assert (0, 3) in pairs and (0, 9) in pairs
 
@@ -113,7 +112,7 @@ class TestContacts:
                 for j in range(i + 2, len(pos))
                 if abs(pos[i][0] - pos[j][0]) + abs(pos[i][1] - pos[j][1]) == 1
             ]
-            assert contact_pairs(out) == expected
+            assert out.pairs == tuple(expected)
 
 
 class TestObjective:

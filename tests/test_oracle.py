@@ -12,6 +12,7 @@ from sawalk.oracle import (
     OracleReport,
     _binaries,
     _bead_masks,
+    _scan,
     _score_colorings,
     domain_size,
     enumerate_optimum,
@@ -63,8 +64,6 @@ def brute_force_slice(problem, start, stop):
         value = objective_value(bits, turns, problem.penalty)
         histogram[value] = histogram.get(value, 0) + 1
         scored.append((value, bits, turns))
-    if not scored:
-        return OracleReport(0, (), 0, {})
     min_value = min(histogram)
     argmin = {
         problem.solution_key(problem.coordinate(bits, turns))
@@ -170,23 +169,12 @@ class TestCountAtOrBelow:
 
 class TestShardingAndCheckpoints:
     def test_contiguous_slices_merge_to_whole(self, plan_c_small):
+        # uneven rotation-class ranges, merged in either order
         problem, whole = plan_c_small
-        size = domain_size(problem)
-        step = size // 4 + 1
-        parts = [
-            enumerate_optimum(problem, start=lo, count=step)
-            for lo in range(0, size, step)
-        ]
+        classes = 3 ** (problem.n - 2)
+        bounds = [0, 1, classes // 3, classes - 1, classes]
+        parts = [_scan(problem, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert merge_reports(parts) == whole
-
-    def test_merge_is_order_independent(self, plan_c_small):
-        problem, whole = plan_c_small
-        size = domain_size(problem)
-        step = size // 3 + 1
-        parts = [
-            enumerate_optimum(problem, start=lo, count=step)
-            for lo in range(0, size, step)
-        ]
         assert merge_reports(parts[::-1]) == whole
 
     def test_unpicklable_penalty_fails_before_the_pool(self):
@@ -209,14 +197,9 @@ class TestShardingAndCheckpoints:
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
-    def test_slice_matches_brute_force(self, data):
+    def test_whole_domain_matches_brute_force(self, data):
         problem = data.draw(small_problems())
-        size = domain_size(problem)
-        start = data.draw(st.integers(0, size), label="start")
-        count = data.draw(st.integers(0, size - start), label="count")
-        assert enumerate_optimum(problem, start=start, count=count) == brute_force_slice(
-            problem, start, start + count
-        )
+        assert enumerate_optimum(problem) == brute_force_slice(problem, 0, domain_size(problem))
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
@@ -231,26 +214,6 @@ class TestShardingAndCheckpoints:
     def test_worker_split_matches_serial(self, problem, workers):
         assert enumerate_optimum(problem, workers=workers) == enumerate_optimum(problem)
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.data())
-    def test_slice_ends_next_to_a_first_digit_block_edge(self, data):
-        # a first-digit block holds the 3^(n-2) folds of one first turn digit,
-        # the unit whole rotation classes are credited in
-        problem = data.draw(small_problems().filter(lambda p: p.plan != "B"))
-        block = 3 ** (problem.n - 2) * (domain_size(problem) // 3 ** (problem.n - 1))
-        near = st.sampled_from(
-            [k * block + d for k in range(4) for d in (-1, 0, 1) if 0 <= k * block + d <= 3 * block]
-        )
-        start, stop = sorted((data.draw(near, label="start"), data.draw(near, label="stop")))
-        assert enumerate_optimum(problem, start=start, count=stop - start) == brute_force_slice(
-            problem, start, stop
-        )
-
-    def test_empty_slice(self):
-        problem = make_problem("C", n=6, weight_target=3, energy_target=-1)
-        report = enumerate_optimum(problem, start=5, count=0)
-        assert report.evaluations == 0 and report.argmin == ()
-
 
 class TestBitSlicedScorer:
     @settings(deadline=None, max_examples=80)
@@ -260,10 +223,9 @@ class TestBitSlicedScorer:
         binaries = _binaries(make_problem("C", n=n, weight_target=data.draw(st.integers(0, n)), energy_target=0))
         candidates = [(i, j) for i in range(n) for j in range(i + 2, n)]
         pairs = tuple(sorted(data.draw(st.sets(st.sampled_from(candidates)), label="pairs")))
-        lo = data.draw(st.integers(0, len(binaries) - 1), label="lo")
-        hi = data.draw(st.integers(lo + 1, len(binaries)), label="hi")
-        values = {b: -sum(binaries[b][i] & binaries[b][j] for i, j in pairs) for b in range(lo, hi)}
-        counts, best, best_bits = _score_colorings(pairs, _bead_masks(binaries, n), lo, hi)
+        values = {b: -sum(binaries[b][i] & binaries[b][j] for i, j in pairs) for b in range(len(binaries))}
+        span = (1 << len(binaries)) - 1
+        counts, best, best_bits = _score_colorings(pairs, _bead_masks(binaries, n), span)
         expected: dict[int, int] = {}
         for value in values.values():
             expected[value] = expected.get(value, 0) + 1
