@@ -169,13 +169,20 @@ class TestCountAtOrBelow:
 
 class TestShardingAndCheckpoints:
     def test_contiguous_slices_merge_to_whole(self, plan_c_small):
-        # uneven rotation-class ranges, merged in either order
+        # uneven rotation-class ranges
         problem, whole = plan_c_small
         classes = 3 ** (problem.n - 2)
         bounds = [0, 1, classes // 3, classes - 1, classes]
         parts = [_scan(problem, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert merge_reports(parts) == whole
+
+    def test_merge_is_order_independent(self, plan_c_small):
+        problem, whole = plan_c_small
+        classes = 3 ** (problem.n - 2)
+        step = classes // 3 + 1
+        parts = [_scan(problem, lo, min(lo + step, classes)) for lo in range(0, classes, step)]
         assert merge_reports(parts[::-1]) == whole
+        assert merge_reports(parts[1:] + parts[:1]) == whole
 
     def test_unpicklable_penalty_fails_before_the_pool(self):
         problem = make_problem(
