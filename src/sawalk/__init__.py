@@ -21,7 +21,6 @@ from sawalk.hpfold import (
     decode_fold,
     make_problem,
     objective_value,
-    spiral_instance,
     target_energy,
     weight,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "rank_distance",
     "run_experiment",
     "run_search",
-    "spiral_instance",
     "stats",
     "target_energy",
     "weight",

@@ -71,6 +71,13 @@ def _problem_from_args(args: argparse.Namespace):
     )
 
 
+def _check_writable(out: str | None) -> None:
+    """Fail before a long run rather than after it when ``out`` cannot be written."""
+    if out:
+        with open(out, "a"):
+            pass
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -80,6 +87,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
+    _check_writable(args.out)
     config = SearchConfig(
         seed=args.base_seed,
         probe_limit=args.probe_limit,
@@ -100,6 +108,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
+    _check_writable(args.out)
     config = ExperimentConfig(
         problem=problem,
         sample_size=args.seeds,
@@ -137,6 +146,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
+    _check_writable(args.out)
     report = enumerate_optimum(problem, domain_cap=args.domain_cap, workers=args.workers)
     text = report_text(report)
     if args.threshold is not None:
@@ -206,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes, each scanning whole rotation classes; plan B is scanned in one process",
+        help="worker processes, each scanning an equal share of the rotation classes; small domains are scanned in this process",
     )
     oracle.add_argument("--threshold", type=int, help="also count pairs at or below this value")
     oracle.add_argument("--out", help="write the report to this file")

@@ -13,10 +13,12 @@ the chain, plan B fixes the fold and searches colors (the inverse problem),
 and plan C searches both segments simultaneously under a weight cap.
 
 One memoized fold record (``_fold_analysis``) decodes folds and lists their
-contacts for every caller.  Plan A, whose every move changes one turn, also
-values the turn moves of a feasible pivot from lattice bitboards of that
-pivot (``_PivotBoards``): each move rotates the chain's tail rigidly about
-one bead, so its collisions and new contacts are a few big-int operations
+contacts for every caller but the exhaustive oracle, whose depth-first scan
+places a turn prefix once for all its extensions and is tested against this
+record.  Plan A, whose every move changes one turn, also values the turn
+moves of a feasible pivot from lattice bitboards of that pivot
+(``_PivotBoards``): each move rotates the chain's tail rigidly about one
+bead, so its collisions and new contacts are a few big-int operations
 against the pivot's head.
 """
 from __future__ import annotations
@@ -610,13 +612,3 @@ def make_problem(
         penalty=penalty,
     )
 
-
-def spiral_instance(length: int) -> HPProblem:
-    """All-H plan A instance at the polyomino contact bound, desk scale only."""
-    if not 9 <= length <= 36:
-        raise ValueError("spiral instances cover lengths 9 through 36")
-    return make_problem(
-        "A",
-        coord_b=(1,) * length,
-        energy_target=target_energy(length),
-    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from sawalk.hpfold import HPProblem, digits_text, make_problem
+from sawalk.hpfold import HPProblem, make_problem
 
 _KEYS = {"plan", "length", "weight", "target", "coord-b", "coord-t", "weight-cap"}
 
@@ -70,26 +70,6 @@ def _build(record: dict[str, str]) -> HPProblem:
     )
 
 
-def instance_text(problem: HPProblem) -> str:
-    """One record in instance-file form."""
-    lines = [
-        f"plan = {problem.plan}",
-        f"length = {problem.n}",
-        f"weight = {problem.weight_target}",
-        f"target = {problem.energy_target}",
-    ]
-    if problem.fixed_binary is not None:
-        lines.append(f"coord-b = {digits_text(problem.fixed_binary)}")
-    if problem.fixed_ternary is not None:
-        lines.append(f"coord-t = {digits_text(problem.fixed_ternary)}")
-    if problem.weight_cap != problem.weight_target + 1:
-        lines.append(f"weight-cap = {problem.weight_cap}")
-    return "\n".join(lines) + "\n"
-
-
 def load_instances(path: Union[str, Path]) -> list[HPProblem]:
     return parse_instances(Path(path).read_text())
 
-
-def save_instances(path: Union[str, Path], problems: list[HPProblem]) -> None:
-    Path(path).write_text("\n".join(instance_text(p) for p in problems))

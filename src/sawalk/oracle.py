@@ -5,25 +5,33 @@ segment for plans A/B, exact-target-weight colors for plans B/C, all turn
 strings otherwise), recording the exact minimum, every minimizer, and the
 full objective-value histogram.
 
-The unit of work is the rotation class.  The first turn digit only rotates
-a fold, so plans A and C have C = 3^(n-2) classes, the canonical turns
-(2, *rest) in itertools.product order (rightmost digit fastest), each
-standing for its 3 folds; plan B's one fold is its one class.  A scan of
-classes [lo, hi) decodes each class once and scores it on every colouring.
-With W workers, worker w scans classes [C*w/W, C*(w+1)/W) and the reports
-merge associatively with ``merge_reports``.
+The unit of work is the class.  The first turn digit only rotates a fold
+and swapping turn digits 0 and 1 only mirrors it, which keeps its
+collisions and contacts.  So plans A and C scan the canonical turns
+(2, *rest) whose first bend is a left turn, C = (3^(n-2) + 1) / 2 classes,
+each standing for its 3 rotations and its mirror's 3 (the straight chain
+for its 3); plan B's one fold is its one class.  A scan of classes
+[lo, hi) places them depth first, in itertools.product order (rightmost
+digit fastest), and scores each fold on every colouring.  With W workers,
+worker w scans classes [C*w/W, C*(w+1)/W) and the reports merge
+associatively with ``merge_reports``; small domains are scanned in this
+process.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations
 from math import comb
 
-from sawalk.hpfold import HPProblem, _fold_analysis, _require_picklable_penalty
+from sawalk.hpfold import _STEP, _TURNED, HPProblem, _require_picklable_penalty
 from sawalk.mixedradix import SpaceTooLargeError
 
 DEFAULT_DOMAIN_CAP = 10**8
+# Fewest classes worth a worker process.  A class scans in about 3 us (2-core
+# x86-64 box, Python 3.11); there plan C n=12 w=5, 14,762 classes a worker,
+# ran slower in 2 processes than in one, and n=13 w=6, 44,287, ran faster.
+MIN_CLASSES_PER_WORKER = 3**9
 
 
 @dataclass(frozen=True)
@@ -129,50 +137,107 @@ def _bit_indices(bits: int) -> list[int]:
     return indices
 
 
+# Turn digits tried after a straight prefix and after a bent one: no right
+# turn (1) before the first left turn (0) keeps one class of each mirror pair.
+_TURNS = ((0, 2), (0, 1, 2))
+
+
+def _roots(n: int, lo: int, hi: int, prefix: tuple[int, ...] = (2,), start: int = 0):
+    """Yield the turn prefixes whose depth-first subtrees tile classes [lo, hi),
+    in order; return the end of ``prefix``'s subtree, which starts at ``start``."""
+    rest = 3 ** (n - 1 - len(prefix))
+    end = start + (rest if 0 in prefix else (rest + 1) // 2)
+    if lo <= start and end <= hi:
+        yield prefix
+    elif start < hi and lo < end:
+        for t in _TURNS[0 in prefix]:
+            start = yield from _roots(n, lo, hi, prefix + (t,), start)
+    return end
+
+
+def _place(n: int, roots, visit) -> None:
+    """Place the classes under ``roots`` depth first, a turn prefix once for
+    all its extensions, and call ``visit(turns, bent, first, collisions,
+    mask)`` on each: ``turns`` is one reused list, ``first`` and
+    ``collisions`` are ``_fold_analysis``'s, counted as beads land, and
+    ``mask`` sets bit i * n + j for each contact (i, j) of a feasible fold.
+    """
+    turns = [0] * (n - 1)
+
+    def land(j, t, h, p, mask, first, collisions):  # bead j + 1, by turn t
+        turns[j] = t
+        h = _TURNED[h][t]
+        p += _STEP[h]
+        if p in at:
+            return h, p, mask, first if collisions else j + 1, collisions + 1
+        at[p] = j + 1
+        if not collisions:  # contacts lie ahead, left and right of the new bead
+            for i in map(at.get, (p + _STEP[h], p + _STEP[h - 1], p + _STEP[(h + 1) & 3])):
+                if i is not None:
+                    mask |= 1 << (i * n + j + 1)
+        return h, p, mask, first, collisions
+
+    def grow(j, h, p, mask, first, collisions, bent):
+        if j == n - 1:
+            return visit(turns, bent, first, collisions, mask)
+        for t in _TURNS[bent]:
+            state = land(j, t, h, p, mask, first, collisions)
+            grow(j + 1, *state, bent or t == 0)
+            if at.get(state[1]) == j + 1:
+                del at[state[1]]
+
+    for root in roots:  # a loop, not grow, places the root: plan B chains may be long
+        at = {0: 0}  # lattice point -> first bead placed there
+        state = (0, 0, 0, None, 0)
+        for j, t in enumerate(root):
+            state = land(j, t, *state)
+        grow(len(root), *state, 0 in root)
+
+
 def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
-    """Score rotation classes [lo, hi) on all their colourings."""
+    """Score classes [lo, hi) on all their colourings."""
     n = problem.n
-    penalty = problem.penalty
-    # uncached: a scan decodes each fold once, so it must neither fill nor
-    # evict the walk's fold cache
-    analyse = _fold_analysis.__wrapped__
     binaries = _binaries(problem)
     beads = _bead_masks(binaries, n)
     span = (1 << len(binaries)) - 1
     if problem.plan == "B":  # one fold, reported as given
-        classes, per_class = [problem.fixed_ternary][lo:hi], 1
-    else:  # a rotation keeps the fold record, so a class scores as 3 folds
-        classes, per_class = islice(product((2,), *[range(3)] * (n - 2)), lo, hi), 3
+        roots, credits = [problem.fixed_ternary][lo:hi], (1, 1)
+    else:  # a class scores as its 3 rotations and, once bent, its mirror's 3
+        roots, credits = _roots(n, lo, hi), (3, 6)
 
-    # one counter per fold record, since folds score alike whenever their
-    # records do: [folds, value counts, best value, minimizing colourings]
-    scored: dict[tuple, list] = {}
+    # one counter per fold record (contact mask, or (first, count) if colliding),
+    # [folds, value counts, best value, minimizing colourings]
+    scored: dict[object, list] = {}
     min_value = float("inf")
     argmin: list[tuple[int, tuple[int, ...]]] = []  # (minimizing colourings, turns)
-    for turns in classes:
-        record = analyse(turns)
-        entry = scored.get(record)
-        if entry is None:
-            first, collisions, pairs = record
-            if collisions:
-                value = penalty(n, first, collisions)
-                entry = [0, {value: len(binaries)}, value, span]
-            else:
-                entry = [0, *_score_colorings(pairs, beads, span)]
-            scored[record] = entry
-        entry[0] += per_class
-        best = entry[2]
-        if best <= min_value:
-            if best < min_value:
-                min_value = best
-                argmin.clear()
-            argmin.append((entry[3], turns))
 
+    def score(turns, bent, first, collisions, mask):
+        nonlocal min_value
+        key = (first, collisions) if collisions else mask
+        entry = scored.get(key)
+        if entry is None:
+            if collisions:
+                value = problem.penalty(n, first, collisions)
+                entry = scored[key] = [0, {value: len(binaries)}, value, span]
+            else:
+                pairs = tuple(divmod(b, n) for b in _bit_indices(mask))
+                entry = scored[key] = [0, *_score_colorings(pairs, beads, span)]
+        entry[0] += credits[bent]
+        if entry[2] <= min_value:
+            if entry[2] < min_value:
+                min_value = entry[2]
+                argmin.clear()
+            argmin.append((entry[3], tuple(turns)))
+
+    _place(n, roots, score)
     histogram: dict[int, int] = {}
     for folds, counts, _, _ in scored.values():
         for value, count in counts.items():
             histogram[value] = histogram.get(value, 0) + folds * count
-    # solution keys collapse the re-orientations of one searched fold
+    # solution keys collapse the re-orientations of one searched fold but
+    # keep mirror images apart
+    if problem.plan != "B":
+        argmin += [(bits, tuple((1, 0, 2)[t] for t in fold)) for bits, fold in argmin]
     keys = {
         problem.solution_key(problem.coordinate(binaries[b], turns))
         for best_bits, turns in argmin
@@ -194,24 +259,24 @@ def enumerate_optimum(
     """Scan the problem's whole eligible domain.
 
     Refuses domains larger than ``domain_cap`` rather than starting a scan
-    that cannot finish.  With ``workers`` > 1 the rotation classes are split
-    into contiguous ranges, one per worker process, and the reports merged;
-    a single non-empty range is scanned in this process.  Fewer than one
-    worker is refused.
+    that cannot finish.  With ``workers`` > 1 the classes are split into
+    contiguous, equally sized ranges, one per worker process, and the
+    reports merged.  A domain whose ranges would hold fewer than
+    ``MIN_CLASSES_PER_WORKER`` classes each is scanned in this process.
+    Fewer than one worker is refused.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     size = domain_size(problem)
     if size > domain_cap:
         raise SpaceTooLargeError(size, domain_cap)
-    classes = 1 if problem.plan == "B" else 3 ** (problem.n - 2)
-    bounds = [classes * w // workers for w in range(workers + 1)]
-    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(ranges) == 1:
-        return _scan(problem, *ranges[0])
+    classes = 1 if problem.plan == "B" else (3 ** (problem.n - 2) + 1) // 2
+    if workers == 1 or classes // workers < MIN_CLASSES_PER_WORKER:
+        return _scan(problem, 0, classes)
     _require_picklable_penalty(problem)
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(_scan, problem, lo, hi) for lo, hi in ranges]
+    bounds = [classes * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_scan, problem, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         return merge_reports([f.result() for f in futures])
 
 

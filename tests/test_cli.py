@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sawalk import cli
 from sawalk.cli import main
 from sawalk.harness import parse_rows_csv
 from sawalk.oracle import parse_report
@@ -39,6 +40,15 @@ class TestSolve:
         missing = tmp_path / "nosuch.instances"
         with pytest.raises(SystemExit, match="No such file or directory"):
             main(["solve", "--instance", str(missing)])
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch):
+        def no_run(config, problem):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_search", no_run)
+        out = tmp_path / "nosuch" / "row.csv"
+        with pytest.raises(SystemExit, match="No such file or directory"):
+            main(f"solve --plan C --length 6 --weight 3 --target -1 --out {out}".split())
 
     def test_missing_problem_flags(self):
         with pytest.raises(SystemExit):
@@ -113,6 +123,16 @@ class TestExperiment:
             )
         capsys.readouterr()
 
+    def test_unwritable_out_fails_before_the_campaign(self, tmp_path, monkeypatch):
+        def no_campaign(config):
+            raise AssertionError("the campaign ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_campaign)
+        out = tmp_path / "nosuch" / "x.csv"
+        with pytest.raises(SystemExit, match="No such file or directory") as err:
+            main(f"experiment --plan C --length 6 --weight 3 --target -1 --seeds 2 --out {out}".split())
+        assert "\n" not in str(err.value)
+
     def test_improve_mode(self, capsys):
         code = main(
             "experiment --plan C --length 10 --weight 4 --target -4 "
@@ -157,6 +177,16 @@ class TestOracle:
             main(
                 "oracle --plan C --length 20 --weight 10 --target -9 --domain-cap 1000".split()
             )
+
+
+    def test_unwritable_out_fails_before_the_scan(self, tmp_path, monkeypatch):
+        def no_scan(problem, domain_cap, workers):
+            raise AssertionError("the scan ran before --out was checked")
+
+        monkeypatch.setattr(cli, "enumerate_optimum", no_scan)
+        out = tmp_path / "nosuch" / "report.txt"
+        with pytest.raises(SystemExit, match="No such file or directory"):
+            main(f"oracle --plan C --length 6 --weight 3 --target -1 --out {out}".split())
 
 
 class TestHasse:

@@ -123,6 +123,15 @@ def test_oracle_report_plan_c_n12():
     )
 
 
+def test_oracle_report_plan_c_n14():
+    # 4,787,751,969 pairs: far above the default domain cap
+    problem = make_problem("C", n=14, weight_target=6, energy_target=-6)
+    report = enumerate_optimum(problem, domain_cap=5 * 10**9)
+    assert sha256(report_text(report)) == (
+        "1c263833c95e9c023c6598674b095514acd4337008797eb1b192b4fed347aa74"
+    )
+
+
 def test_ascii_drawing():
     assert ascii_conformation("1001001001", "211011011") == (
         "o-o\n"

@@ -14,7 +14,6 @@ from sawalk.hpfold import (
     default_penalty,
     make_problem,
     objective_value,
-    spiral_instance,
     target_energy,
     weight,
 )
@@ -364,24 +363,6 @@ class TestRandomDraws:
         for _ in range(100):
             c = p.random_coordinate(rng)
             assert p.objective(c) == objective_value(c.digits[:10], c.digits[10:])
-
-
-class TestSpiralInstance:
-    def test_known_targets(self):
-        assert spiral_instance(10).energy_target == -4
-        assert spiral_instance(16).energy_target == -9
-        assert spiral_instance(25).energy_target == -16
-
-    def test_all_h(self):
-        p = spiral_instance(12)
-        assert p.plan == "A"
-        assert p.fixed_binary == (1,) * 12
-        assert p.weight_target == 12
-
-    @pytest.mark.parametrize("length", [8, 37])
-    def test_range(self, length):
-        with pytest.raises(ValueError):
-            spiral_instance(length)
 
 
 class TestFoldSymmetries:

@@ -1,7 +1,6 @@
 import pytest
 
-from sawalk.hpfold import make_problem
-from sawalk.instances import instance_text, load_instances, parse_instances, save_instances
+from sawalk.instances import load_instances, parse_instances
 
 SAMPLE = """\
 # the worked 10-bead instance, all three plans
@@ -57,24 +56,10 @@ class TestParse:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "problem",
-        [
-            make_problem("A", coord_b="1001001001", energy_target=-4),
-            make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4),
-            make_problem("C", n=20, weight_target=10, energy_target=-9),
-            make_problem("C", n=10, weight_target=4, energy_target=-3, weight_cap=6),
-        ],
-    )
-    def test_text_round_trip(self, problem):
-        [parsed] = parse_instances(instance_text(problem))
-        assert parsed == problem
-
     def test_file_round_trip(self, tmp_path):
-        problems = parse_instances(SAMPLE)
         path = tmp_path / "set.instances"
-        save_instances(path, problems)
-        assert load_instances(path) == problems
+        path.write_text(SAMPLE)
+        assert load_instances(path) == parse_instances(SAMPLE)
 
 
 class TestShippedInstances:

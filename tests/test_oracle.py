@@ -1,17 +1,22 @@
+from concurrent.futures import Future
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawalk import oracle
 from sawalk.engine import SearchConfig, run_search
 from sawalk.harness import ExperimentConfig, run_rows
-from sawalk.hpfold import make_problem, objective_value, target_energy
+from sawalk.hpfold import _fold_analysis, make_problem, objective_value, target_energy
 from sawalk.mixedradix import SpaceTooLargeError
 from sawalk.oracle import (
     OracleReport,
     _binaries,
     _bead_masks,
+    _bit_indices,
+    _place,
+    _roots,
     _scan,
     _score_colorings,
     domain_size,
@@ -20,6 +25,38 @@ from sawalk.oracle import (
     parse_report,
     report_text,
 )
+
+
+def mirror_classes(n):
+    """Plans A and C scan these: canonical turns whose first bend is a left turn."""
+    return (3 ** (n - 2) + 1) // 2
+
+
+@pytest.fixture
+def pool_at_any_size(monkeypatch):
+    """Let every multi-worker scan reach the pool, however small its domain."""
+    monkeypatch.setattr(oracle, "MIN_CLASSES_PER_WORKER", 1)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each job as it is submitted
+    and records the class range it was given."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.ranges = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, problem, lo, hi):
+        self.ranges.append((lo, hi))
+        future = Future()
+        future.set_result(fn(problem, lo, hi))
+        return future
 
 
 @pytest.fixture(scope="module")
@@ -171,20 +208,20 @@ class TestShardingAndCheckpoints:
     def test_contiguous_slices_merge_to_whole(self, plan_c_small):
         # uneven rotation-class ranges
         problem, whole = plan_c_small
-        classes = 3 ** (problem.n - 2)
+        classes = mirror_classes(problem.n)
         bounds = [0, 1, classes // 3, classes - 1, classes]
         parts = [_scan(problem, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert merge_reports(parts) == whole
 
     def test_merge_is_order_independent(self, plan_c_small):
         problem, whole = plan_c_small
-        classes = 3 ** (problem.n - 2)
+        classes = mirror_classes(problem.n)
         step = classes // 3 + 1
         parts = [_scan(problem, lo, min(lo + step, classes)) for lo in range(0, classes, step)]
         assert merge_reports(parts[::-1]) == whole
         assert merge_reports(parts[1:] + parts[:1]) == whole
 
-    def test_unpicklable_penalty_fails_before_the_pool(self):
+    def test_unpicklable_penalty_fails_before_the_pool(self, pool_at_any_size):
         problem = make_problem(
             "C", n=6, weight_target=3, energy_target=-1, penalty=lambda n, first, count: 1
         )
@@ -198,7 +235,7 @@ class TestShardingAndCheckpoints:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             enumerate_optimum(problem, workers=workers)
 
-    def test_parallel_workers_match_serial(self):
+    def test_parallel_workers_match_serial(self, pool_at_any_size):
         problem = make_problem("C", n=6, weight_target=3, energy_target=-1)
         assert enumerate_optimum(problem, workers=2) == enumerate_optimum(problem)
 
@@ -218,8 +255,90 @@ class TestShardingAndCheckpoints:
         ],
         ids="ABC",
     )
-    def test_worker_split_matches_serial(self, problem, workers):
+    def test_worker_split_matches_serial(self, problem, workers, pool_at_any_size):
         assert enumerate_optimum(problem, workers=workers) == enumerate_optimum(problem)
+
+    def test_small_domain_starts_no_pool(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+        problem = make_problem("C", n=10, weight_target=4, energy_target=-4)
+        assert enumerate_optimum(problem, workers=2) == enumerate_optimum(problem)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5, 7])
+    def test_worker_shares_differ_by_at_most_one(self, workers, monkeypatch, pool_at_any_size):
+        pools = []
+
+        def inline_pool(max_workers):
+            pools.append(InlinePool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", inline_pool)
+        problem = make_problem("C", n=7, weight_target=3, energy_target=-2)
+        report = enumerate_optimum(problem, workers=workers)
+        [pool] = pools
+        bounds = [lo for lo, _ in pool.ranges] + [pool.ranges[-1][1]]
+        assert pool.max_workers == workers
+        assert pool.ranges == list(zip(bounds, bounds[1:]))
+        assert bounds[0] == 0 and bounds[-1] == mirror_classes(problem.n)
+        sizes = [hi - lo for lo, hi in pool.ranges]
+        assert max(sizes) - min(sizes) <= 1
+        assert report == enumerate_optimum(problem)
+
+
+def mirror(turns):
+    return tuple((1, 0, 2)[t] for t in turns)
+
+
+class TestDepthFirstPlacement:
+    """The scan's placement against the one fold record, ``_fold_analysis``."""
+
+    @staticmethod
+    def placed(n, roots):
+        records = []
+
+        def visit(turns, bent, first, collisions, mask):
+            # the mask is read only for a feasible fold
+            pairs = () if collisions else tuple(sorted(divmod(b, n) for b in _bit_indices(mask)))
+            records.append((tuple(turns), bent, (first, collisions, pairs)))
+
+        _place(n, roots, visit)
+        return records
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_class_of_plans_a_and_c(self, n):
+        analyse = _fold_analysis.__wrapped__
+        records = self.placed(n, _roots(n, 0, mirror_classes(n)))
+        straight = (2,) * (n - 1)
+        # in product order, the canonical turns whose first bend is a left turn
+        expected = [
+            turns
+            for turns in product((2,), *[range(3)] * (n - 2))
+            if next((t for t in turns if t != 2), 0) == 0
+        ]
+        assert [turns for turns, _, _ in records] == expected
+        assert any(record[1] for _, _, record in records) == (n >= 5)  # collisions reached
+        for turns, bent, record in records:
+            assert record == analyse(turns)
+            assert record == analyse(mirror(turns))
+            assert bent == (turns != straight)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_every_fixed_fold_of_plan_b(self, n):
+        analyse = _fold_analysis.__wrapped__
+        folds = list(product(range(3), repeat=n - 1))
+        records = self.placed(n, folds)
+        assert [turns for turns, _, _ in records] == folds
+        for turns, _, record in records:
+            assert record == analyse(turns)
+
+    def test_roots_tile_every_class_range(self):
+        n = 6
+        whole = [turns for turns, _, _ in self.placed(n, _roots(n, 0, mirror_classes(n)))]
+        for lo in range(len(whole)):
+            for hi in range(lo + 1, len(whole) + 1):
+                assert [turns for turns, _, _ in self.placed(n, _roots(n, lo, hi))] == whole[lo:hi]
 
 
 class TestBitSlicedScorer:

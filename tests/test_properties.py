@@ -22,7 +22,6 @@ from sawalk.hpfold import (
     objective_value,
     target_energy,
 )
-from sawalk.instances import instance_text, parse_instances
 from sawalk.mixedradix import (
     Coordinate,
     RadixSpec,
@@ -202,31 +201,6 @@ def segment_text(base, length):
     return st.text(alphabet="0123"[:base], min_size=length, max_size=length)
 
 
-@st.composite
-def problems(draw):
-    plan = draw(st.sampled_from("ABC"))
-    n = draw(st.integers(3, 16))
-    energy = draw(st.integers(-12, 0))
-    if plan == "A":
-        colors = draw(segment_text(2, n))
-        weight = colors.count("1")
-        return make_problem(
-            "A",
-            coord_b=colors,
-            energy_target=energy,
-            weight_cap=draw(st.none() | st.integers(weight, n + 1)),
-        )
-    weight = draw(st.integers(0, n))
-    fixed = {"coord_t": draw(segment_text(3, n - 1))} if plan == "B" else {"n": n}
-    return make_problem(
-        plan,
-        weight_target=weight,
-        energy_target=energy,
-        weight_cap=draw(st.none() | st.integers(weight, n + 1)),
-        **fixed,
-    )
-
-
 def run_rows_of(n):
     row = st.builds(
         RunRow,
@@ -256,10 +230,6 @@ class TestFormatRoundTrips:
     )
     def test_report_text_reads_back(self, report):
         assert parse_report(report_text(report)) == report
-
-    @given(problems())
-    def test_instance_text_reads_back(self, problem):
-        assert parse_instances(instance_text(problem)) == [problem]
 
     @given(run_rows_of(6))
     def test_rows_csv_reads_back(self, rows):
