@@ -17,7 +17,6 @@ from sawalk.harness import ExperimentConfig, ExperimentStats, run_experiment, st
 from sawalk.hpfold import (
     FoldOutcome,
     HPProblem,
-    contacts,
     decode_fold,
     make_problem,
     objective_value,
@@ -53,7 +52,6 @@ __all__ = [
     "SearchResult",
     "SpaceTooLargeError",
     "VisitedBuffer",
-    "contacts",
     "decode_fold",
     "enumerate_optimum",
     "hasse_dot",

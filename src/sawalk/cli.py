@@ -241,9 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    created = args.out and not Path(args.out).exists()
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except BaseException as err:
+        if created:  # by _check_writable or a failed write; an existing file stays
+            Path(args.out).unlink(missing_ok=True)
+        if not isinstance(err, (ValueError, OSError)):
+            raise
         # a refused input (a bad segment, an unreachable weight, a domain
         # over the cap, a file that cannot be read or written) is a
         # one-line usage error, not a traceback

@@ -225,7 +225,7 @@ def rows_csv(rows: Sequence[RunRow]) -> str:
 
 def parse_rows_csv(text: str) -> list[RunRow]:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header!r}")
     rows = []

@@ -12,14 +12,16 @@ Three search formulations are supported: plan A fixes the colors and folds
 the chain, plan B fixes the fold and searches colors (the inverse problem),
 and plan C searches both segments simultaneously under a weight cap.
 
-One memoized fold record (``_fold_analysis``) decodes folds and lists their
-contacts for every caller but the exhaustive oracle, whose depth-first scan
-places a turn prefix once for all its extensions and is tested against this
-record.  Plan A, whose every move changes one turn, also values the turn
-moves of a feasible pivot from lattice bitboards of that pivot
-(``_PivotBoards``): each move rotates the chain's tail rigidly about one
-bead, so its collisions and new contacts are a few big-int operations
-against the pivot's head.
+One fold record (``_fold_analysis``) decodes folds and lists their contacts
+for every caller but the exhaustive oracle, whose depth-first scan places a
+turn prefix once for all its extensions and is tested against this record.
+It is memoized for the walks that revisit folds.  Plan A, whose every move
+changes one turn, decodes each pivot without the cache, since every pivot
+is a new fold, and values its turn moves from lattice bitboards of that
+pivot (``_PivotBoards``): each move rotates the chain's tail rigidly about
+one bead, so its collisions and new contacts are a few big-int operations
+against the pivot's head.  The moves are found by their candidate's
+identity, in a table built next to the candidate list.
 """
 from __future__ import annotations
 
@@ -100,8 +102,8 @@ def _trace(turns: Sequence[int]) -> list[int]:
 # 1 << 16 entries hold all 3**9 = 19,683 folds of a 10-bead chain, which a
 # serial n=10 campaign revisits run after run; 4096 entries would still serve
 # an n=20 colour walk but drop that campaign from 98% to 87% hits.  A plan A
-# walk values its turn moves from the pivot's bitboards (_PivotBoards), so it
-# fills the cache with its pivots and draws only, not with every probe.
+# walk decodes its pivots with __wrapped__ and values their turn moves from
+# bitboards (_PivotBoards), so only its random draws enter the cache.
 @lru_cache(maxsize=1 << 16)
 def _fold_analysis(turns: tuple[int, ...]) -> tuple[Optional[int], int, tuple[tuple[int, int], ...]]:
     """The one fold record: (first collision, collision count, contact pairs).
@@ -301,18 +303,6 @@ def _hh_count(pairs: Sequence[tuple[int, int]], bits: Sequence[int]) -> int:
     return count
 
 
-def contacts(outcome: FoldOutcome, binary: Digits) -> int:
-    """Count H-H pairs that are lattice-adjacent but not chain-consecutive."""
-    if not outcome.feasible:
-        raise ValueError("contacts are defined only for feasible folds")
-    bits = _color_digits(binary)
-    if len(bits) != len(outcome.positions):
-        raise ValueError(
-            f"binary segment has {len(bits)} digits for a {len(outcome.positions)}-bead fold"
-        )
-    return _hh_count(outcome.pairs, bits)
-
-
 def default_penalty(n: int, first_collision: int, collision_count: int) -> int:
     """Infeasibility score: earlier and more numerous collisions are worse.
 
@@ -420,18 +410,19 @@ class HPProblem:
             return self.penalty(n, first, collisions)
         return -_hh_count(pairs, bits)
 
-    # (boards, {candidate digits: (k, r)}) of the latest plan A pivot, empty
-    # until admissible_neighbors meets a feasible pivot.  Not annotated, so
-    # not a dataclass field: equality and hashing ignore the instance copy,
-    # and __getstate__ leaves it out of pickles.
+    # (boards, {id(candidate): (candidate, k, r)}) of the latest plan A
+    # pivot, empty until admissible_neighbors meets a feasible pivot.  The
+    # table holds its candidates, so no other live object shares a key.  Not
+    # annotated, so not a dataclass field: equality and hashing ignore the
+    # instance copy, and __getstate__ leaves it out of pickles.
     _turn_moves = (None, {})
 
     def _turn_move_objective(self, coord: Coordinate) -> int:
         boards, moves = self._turn_moves
-        move = moves.get(coord.digits)
-        if move is None:
+        move = moves.get(id(coord))
+        if move is None or move[0] is not coord:
             return self._record_objective(coord)
-        return boards.value(*move, self.penalty)
+        return boards.value(move[1], move[2], self.penalty)
 
     def __getstate__(self) -> dict:
         # the bound objective and the pivot's boards are rebuilt on use
@@ -472,25 +463,16 @@ class HPProblem:
                     append(make(spec, tuple(scratch)))
                 scratch[i] = d
         if self.plan == "A":
-            self._index_turn_moves(digits, result)
+            # every pivot is a new fold: decode it without filling the cache
+            bits, turns = digits[:n], digits[n:]
+            _, collisions, pairs = _fold_analysis.__wrapped__(turns)
+            boards = None if collisions else _pivot_boards(bits, turns, pairs)
+            moves = {}  # stays empty for a colliding pivot or one past the bound
+            if boards is not None:
+                turned = [(k, r) for k, d in enumerate(turns) for r in _MOVE_ROTATIONS[d]]
+                moves = {id(c): (c, k, r) for c, (k, r) in zip(result, turned)}
+            object.__setattr__(self, "_turn_moves", (boards, moves))
         return result
-
-    def _index_turn_moves(self, digits: tuple[int, ...], candidates: list[Coordinate]) -> None:
-        """Point the plan A objective at this pivot's turn moves.
-
-        Moves are keyed by their candidate's exact digits, so a key found is
-        a move of this pivot whatever order the calls come in.  A colliding
-        pivot, or one past the memory bound, indexes no move.
-        """
-        n = self.n
-        bits, turns = digits[:n], digits[n:]
-        _, collisions, pairs = _fold_analysis(turns)
-        boards = None if collisions else _pivot_boards(bits, turns, pairs)
-        moves = {}
-        if boards is not None:
-            turned = [(k, r) for k, d in enumerate(turns) for r in _MOVE_ROTATIONS[d]]
-            moves = {c.digits: move for c, move in zip(candidates, turned)}
-        object.__setattr__(self, "_turn_moves", (boards, moves))
 
     def is_solution(self, coord: Coordinate, value: int, target: Optional[int] = None) -> bool:
         """Stop test: value at or below target and exact target weight."""

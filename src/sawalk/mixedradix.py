@@ -23,10 +23,10 @@ _new_object = object.__new__
 class SpaceTooLargeError(ValueError):
     """Raised when an operation would have to materialize too many coordinates."""
 
-    def __init__(self, size: int, cap: int):
+    def __init__(self, size: int, cap: int, unit: str = "coordinates"):
         self.size = size
         self.cap = cap
-        super().__init__(f"space has {size} coordinates, exceeding the cap of {cap}")
+        super().__init__(f"space has {size} {unit}, exceeding the cap of {cap}")
 
 
 @dataclass(frozen=True)

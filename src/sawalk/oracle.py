@@ -32,6 +32,9 @@ DEFAULT_DOMAIN_CAP = 10**8
 # x86-64 box, Python 3.11); there plan C n=12 w=5, 14,762 classes a worker,
 # ran slower in 2 processes than in one, and n=13 w=6, 44,287, ran faster.
 MIN_CLASSES_PER_WORKER = 3**9
+# Most colourings a scan holds.  _binaries keeps each as an n-digit tuple,
+# 209 B at n=20 and 272 B at n=28, so 2^20 of them take about 0.3 GiB.
+MAX_COLORINGS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,14 @@ def _binaries(problem: HPProblem) -> list[tuple[int, ...]]:
     return bits_list
 
 
+def _coloring_count(problem: HPProblem) -> int:
+    return 1 if problem.plan == "A" else comb(problem.n, problem.weight_target)
+
+
 def domain_size(problem: HPProblem) -> int:
     """Number of solution-eligible (colors, turns) pairs."""
-    colorings = 1 if problem.plan == "A" else comb(problem.n, problem.weight_target)
     folds = 1 if problem.plan == "B" else 3 ** (problem.n - 1)
-    return colorings * folds
+    return _coloring_count(problem) * folds
 
 
 def _bead_masks(binaries: list[tuple[int, ...]], n: int) -> list[int]:
@@ -259,7 +265,8 @@ def enumerate_optimum(
     """Scan the problem's whole eligible domain.
 
     Refuses domains larger than ``domain_cap`` rather than starting a scan
-    that cannot finish.  With ``workers`` > 1 the classes are split into
+    that cannot finish, and more than ``MAX_COLORINGS`` colourings before
+    any is built.  With ``workers`` > 1 the classes are split into
     contiguous, equally sized ranges, one per worker process, and the
     reports merged.  A domain whose ranges would hold fewer than
     ``MIN_CLASSES_PER_WORKER`` classes each is scanned in this process.
@@ -270,6 +277,9 @@ def enumerate_optimum(
     size = domain_size(problem)
     if size > domain_cap:
         raise SpaceTooLargeError(size, domain_cap)
+    colorings = _coloring_count(problem)
+    if colorings > MAX_COLORINGS:
+        raise SpaceTooLargeError(colorings, MAX_COLORINGS, "colourings")
     classes = 1 if problem.plan == "B" else (3 ** (problem.n - 2) + 1) // 2
     if workers == 1 or classes // workers < MIN_CLASSES_PER_WORKER:
         return _scan(problem, 0, classes)
@@ -297,10 +307,10 @@ def parse_report(text: str) -> OracleReport:
     """Read back ``report_text`` output, including the CLI's threshold lines.
 
     A ``count-at-or-below[t] = c`` line is checked against the histogram
-    and rejected when they disagree.
+    and rejected when they disagree, as is text without its ``evaluations``
+    or ``min-value`` line.
     """
-    evaluations = 0
-    min_value = 0
+    evaluations = min_value = None
     histogram: dict[int, int] = {}
     argmin: list[tuple[str, str]] = []
     threshold_counts: list[tuple[int, int]] = []
@@ -322,6 +332,8 @@ def parse_report(text: str) -> OracleReport:
             argmin.append((colors, turns))
         else:
             raise ValueError(f"unrecognized report line: {raw!r}")
+    if evaluations is None or min_value is None:
+        raise ValueError("report lacks its evaluations or min-value line")
     report = OracleReport(
         min_value=min_value,
         argmin=tuple(sorted(argmin)),

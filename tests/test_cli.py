@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sawalk import cli
+from sawalk import cli, oracle
 from sawalk.cli import main
 from sawalk.harness import parse_rows_csv
 from sawalk.oracle import parse_report
@@ -133,6 +133,12 @@ class TestExperiment:
             main(f"experiment --plan C --length 6 --weight 3 --target -1 --seeds 2 --out {out}".split())
         assert "\n" not in str(err.value)
 
+    def test_refused_campaign_leaves_no_out_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit, match="sample size"):
+            main(f"experiment --plan C --length 6 --weight 3 --target -1 --seeds 0 --out {out}".split())
+        assert not out.exists()
+
     def test_improve_mode(self, capsys):
         code = main(
             "experiment --plan C --length 10 --weight 4 --target -4 "
@@ -187,6 +193,28 @@ class TestOracle:
         out = tmp_path / "nosuch" / "report.txt"
         with pytest.raises(SystemExit, match="No such file or directory"):
             main(f"oracle --plan C --length 6 --weight 3 --target -1 --out {out}".split())
+
+    def test_refused_scan_leaves_no_out_file(self, tmp_path):
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit, match="exceeding the cap"):
+            main(f"oracle --plan C --length 20 --weight 10 --target -9 --out {out}".split())
+        assert not out.exists()
+
+    def test_refused_scan_keeps_an_existing_out_file(self, tmp_path):
+        out = tmp_path / "report.txt"
+        out.write_text("kept\n")
+        with pytest.raises(SystemExit, match="exceeding the cap"):
+            main(f"oracle --plan C --length 20 --weight 10 --target -9 --out {out}".split())
+        assert out.read_text() == "kept\n"
+
+    def test_too_many_colourings_is_one_line(self, monkeypatch):
+        def no_colourings(problem):
+            raise AssertionError("colourings were built for a refused domain")
+
+        monkeypatch.setattr(oracle, "_binaries", no_colourings)
+        with pytest.raises(SystemExit, match="colourings, exceeding the cap") as err:
+            main(f"oracle --plan B --coord-t {'2' * 27} --weight 14 --target 0".split())
+        assert "\n" not in str(err.value)
 
 
 class TestHasse:

@@ -166,6 +166,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_rows_csv("a,b,c\n1,2,3\n")
 
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            parse_rows_csv("")
+
     def test_json_payload(self):
         config = ExperimentConfig(plan_c(-3), sample_size=4, base_seed=2)
         summary, rows = run_experiment(config)

@@ -1,6 +1,7 @@
 import pickle
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from sawalk.engine import SearchConfig, run_search
 from sawalk.hpfold import (
     MAX_BEADS,
-    contacts,
+    _fold_analysis,
     decode_fold,
     default_penalty,
     make_problem,
@@ -17,7 +18,10 @@ from sawalk.hpfold import (
     target_energy,
     weight,
 )
+from sawalk.instances import load_instances
 from sawalk.mixedradix import neighbors, rank_distance
+
+LITERATURE = Path(__file__).resolve().parent.parent / "instances" / "hp_literature.instances"
 
 
 class TestWeight:
@@ -71,26 +75,16 @@ class TestDecodeFold:
 
 class TestContacts:
     def test_all_polar_chain(self):
-        out = decode_fold("21101101")
-        assert contacts(out, "000000000") == 0
+        assert objective_value("000000000", "21101101") == 0
 
     def test_straight_all_h(self):
-        assert contacts(decode_fold("2222"), "11111") == 0
-
-    def test_paper_pair(self):
-        assert contacts(decode_fold("200100100"), "1001001001") == 4
+        # chain bonds are not contacts
+        assert objective_value("11111", "2222") == 0
 
     def test_requires_feasible(self):
-        with pytest.raises(ValueError):
-            contacts(decode_fold("0000"), "11111")
-
-    def test_segment_length_check(self):
-        with pytest.raises(ValueError):
-            contacts(decode_fold("22"), "11")
-
-    def test_rejects_non_binary_colors(self):
-        with pytest.raises(ValueError, match="binary"):
-            contacts(decode_fold("211011011"), "3003003003")
+        # a colliding fold scores its penalty whatever its colours
+        for colors in ("11111", "00000", "10101"):
+            assert objective_value(colors, "0000") == default_penalty(5, 4, 1)
 
     def test_contact_pairs_skip_consecutive(self):
         pairs = decode_fold("200100100").pairs
@@ -455,6 +449,13 @@ class TestTurnMoveValues:
             expected = objective_value(c.digits[:n], c.digits[n:], problem.penalty)
             assert problem.objective(c) == expected
 
+    @staticmethod
+    def _assert_table_holds(problem, candidates):
+        # one entry per candidate, keyed by its identity and holding it
+        moves = problem._turn_moves[1]
+        assert len(moves) == len(candidates)
+        assert all(moves[id(c)][0] is c for c in candidates)
+
     @settings(deadline=None, max_examples=150)
     @given(
         colorings,
@@ -474,7 +475,7 @@ class TestTurnMoveValues:
         candidates = problem.admissible_neighbors(pivot)
         if decode_fold(turns).feasible:
             # the bitboards, not the record, value every move of a feasible pivot
-            assert len(problem._turn_moves[1]) == len(candidates)
+            self._assert_table_holds(problem, candidates)
         self._assert_exact(problem, candidates)
 
     def test_stale_table_and_other_problem(self):
@@ -486,8 +487,15 @@ class TestTurnMoveValues:
         earlier = problem.admissible_neighbors(first)
         foreign = other.admissible_neighbors(other.coordinate((1,) * 16, _grown_turns(rng, 16)))
         later = problem.admissible_neighbors(earlier[3])
-        # the earlier pivot's moves, mostly outside the new table, in any order
+        self._assert_table_holds(problem, later)
+        # the earlier pivot's moves, outside the new table, in any order; the
+        # move back to the first pivot has an equal-digit twin among them
+        assert first in later
         self._assert_exact(problem, earlier[::-1] + later + earlier)
+        # equal digits are not the same candidate: a copy reads the record
+        copies = [problem.coordinate(c.digits[:16], c.digits[16:]) for c in later]
+        assert all(id(c) not in problem._turn_moves[1] for c in copies)
+        self._assert_exact(problem, copies)
         self._assert_exact(other, foreign)
         # another problem's coordinates, valued by this one, read the record
         for c in foreign:
@@ -506,7 +514,7 @@ class TestTurnMoveValues:
         serpentine = ([2] * 9 + [1, 1] + [2] * 8 + [0, 0]) * 7
         pivot = problem.coordinate(bits, serpentine[:129])
         candidates = problem.admissible_neighbors(pivot)
-        assert len(problem._turn_moves[1]) == len(candidates)
+        self._assert_table_holds(problem, candidates)
         self._assert_exact(problem, candidates)
 
     def test_walked_problem_pickles_and_compares_as_new(self):
@@ -520,3 +528,12 @@ class TestTurnMoveValues:
         restored = pickle.loads(pickle.dumps(walked))
         assert restored == walked
         assert run_search(SearchConfig(seed=3, probe_limit=3000), restored) == result
+
+    def test_walk_leaves_only_its_draws_in_the_fold_cache(self):
+        # every pivot is a new fold, decoded past the cache; only the initial
+        # draw and each restart's draw are valued from the cached record
+        problem = load_instances(LITERATURE)[0]
+        _fold_analysis.cache_clear()
+        result = run_search(SearchConfig(seed=2), problem)
+        assert result.walk_length > 10_000
+        assert _fold_analysis.cache_info().currsize <= 1 + result.restarts

@@ -11,6 +11,8 @@ from sawalk.harness import ExperimentConfig, run_rows
 from sawalk.hpfold import _fold_analysis, make_problem, objective_value, target_energy
 from sawalk.mixedradix import SpaceTooLargeError
 from sawalk.oracle import (
+    DEFAULT_DOMAIN_CAP,
+    MAX_COLORINGS,
     OracleReport,
     _binaries,
     _bead_masks,
@@ -128,6 +130,18 @@ class TestDomainSize:
         with pytest.raises(SpaceTooLargeError) as err:
             enumerate_optimum(p, domain_cap=10**6)
         assert err.value.size == domain_size(p)
+
+    def test_colourings_past_the_bound_are_refused_before_any_is_built(self, monkeypatch):
+        def no_colourings(problem):
+            raise AssertionError("colourings were built for a refused domain")
+
+        monkeypatch.setattr(oracle, "_binaries", no_colourings)
+        # 40,116,600 pairs pass the default cap, but each pair is a colouring
+        p = make_problem("B", coord_t="2" * 27, weight_target=14, energy_target=0)
+        assert domain_size(p) == 40_116_600 < DEFAULT_DOMAIN_CAP
+        with pytest.raises(SpaceTooLargeError, match="colourings") as err:
+            enumerate_optimum(p)
+        assert (err.value.size, err.value.cap) == (40_116_600, MAX_COLORINGS)
 
 
 class TestKnownOptima:
@@ -419,3 +433,10 @@ class TestReportSerialization:
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             parse_report("bogus = 1\n")
+
+    @pytest.mark.parametrize(
+        "text", ["", "min-value = -4\ncount[-4] = 6\n", "evaluations = 6\ncount[-4] = 6\n"]
+    )
+    def test_parse_requires_evaluations_and_min_value(self, text):
+        with pytest.raises(ValueError, match="evaluations or min-value"):
+            parse_report(text)
