@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
     experiment.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help=PROBE_LIMIT_HELP)
     experiment.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
-    experiment.add_argument("--parallelism", type=int, default=1, help="worker processes (ignored with --improve)")
+    experiment.add_argument("--parallelism", type=int, default=1, help="worker processes, at most one per CPU and one per run (ignored with --improve)")
     experiment.add_argument("--improve", action="store_true", help="ratchet a shared bound across runs, starting at --target")
     experiment.add_argument("--out", help="write result rows to this file")
     experiment.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -211,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="enumerate a small domain exhaustively")
     _add_problem_args(oracle)
-    oracle.add_argument("--domain-cap", type=int, default=DEFAULT_DOMAIN_CAP)
+    oracle.add_argument("--domain-cap", type=int, default=DEFAULT_DOMAIN_CAP, help="most rotation classes to scan: (3^(n-2)+1)/2 for plans A and C, 1 for plan B (default %(default)s: plans A and C up to n=17)")
     oracle.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="worker processes, each scanning an equal share of the rotation classes; small domains are scanned in this process",
+        help="equal shares of the rotation classes, scanned by at most one process per CPU; small domains are scanned in this process",
     )
     oracle.add_argument("--threshold", type=int, help="also count pairs at or below this value")
     oracle.add_argument("--out", help="write the report to this file")

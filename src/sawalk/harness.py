@@ -15,9 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from sawalk.engine import (
@@ -156,14 +158,10 @@ def run_rows(config: ExperimentConfig, indices: Optional[Iterable[int]] = None) 
     if config.parallelism <= 1 or len(indices) <= 1:
         return [run_one(config, i) for i in indices]
     _require_picklable_penalty(config.problem)
-    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-        chunk = max(1, len(indices) // (config.parallelism * 8))
-        return list(pool.map(_row_task, ((config, i) for i in indices), chunksize=chunk))
-
-
-def _row_task(item: tuple[ExperimentConfig, int]) -> RunRow:
-    config, index = item
-    return run_one(config, index)
+    workers = min(config.parallelism, len(indices), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(indices) // (workers * 8))
+        return list(pool.map(run_one, repeat(config), indices, chunksize=chunk))
 
 
 def aggregate(config: ExperimentConfig, rows: Sequence[RunRow]) -> ExperimentStats:

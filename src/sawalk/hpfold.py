@@ -534,8 +534,8 @@ def make_problem(
     if plan not in PLANS:
         raise ValueError(f"plan must be one of {PLANS}, got {plan!r}")
 
-    fixed_b = as_digits(coord_b) if coord_b is not None else None
-    fixed_t = as_digits(coord_t) if coord_t is not None else None
+    fixed_b = _color_digits(coord_b) if coord_b is not None else None
+    fixed_t = _turn_digits(coord_t) if coord_t is not None else None
 
     if plan == "A":
         if fixed_b is None:
@@ -573,11 +573,8 @@ def make_problem(
         raise ValueError("energy targets are zero or negative")
     if fixed_b is not None and len(fixed_b) != n:
         raise ValueError(f"binary segment has {len(fixed_b)} digits, expected {n}")
-    if fixed_t is not None:
-        if len(fixed_t) != n - 1:
-            raise ValueError(f"ternary segment has {len(fixed_t)} digits, expected {n - 1}")
-        if any(d not in (0, 1, 2) for d in fixed_t):
-            raise ValueError("ternary segment digits must be 0, 1 or 2")
+    if fixed_t is not None and len(fixed_t) != n - 1:
+        raise ValueError(f"ternary segment has {len(fixed_t)} digits, expected {n - 1}")
     if weight_cap is None:
         weight_cap = weight_target + 1
     if weight_cap < weight_target:

@@ -115,18 +115,16 @@ def test_oracle_report_plan_c_n10_workers(workers):
 
 
 def test_oracle_report_plan_c_n12():
-    # 140,300,424 pairs: above the default domain cap
     problem = make_problem("C", n=12, weight_target=5, energy_target=-5)
-    report = enumerate_optimum(problem, domain_cap=2 * 10**8)
+    report = enumerate_optimum(problem)
     assert sha256(report_text(report)) == (
         "067e6b84bcef8a91149ceeba85ff1ecc365b7376fe12095bcd43a6c0bc1ba70d"
     )
 
 
 def test_oracle_report_plan_c_n14():
-    # 4,787,751,969 pairs: far above the default domain cap
     problem = make_problem("C", n=14, weight_target=6, energy_target=-6)
-    report = enumerate_optimum(problem, domain_cap=5 * 10**9)
+    report = enumerate_optimum(problem)
     assert sha256(report_text(report)) == (
         "1c263833c95e9c023c6598674b095514acd4337008797eb1b192b4fed347aa74"
     )

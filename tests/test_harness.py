@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sawalk import harness
 from sawalk.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -101,6 +102,37 @@ class TestCampaign:
         serial = ExperimentConfig(plan_c(-3), sample_size=12, base_seed=5)
         parallel = ExperimentConfig(plan_c(-3), sample_size=12, base_seed=5, parallelism=2)
         assert run_rows(serial) == run_rows(parallel)
+
+    @pytest.mark.parametrize(
+        "parallelism, runs, cpus, processes",
+        [(5000, 2, 64, 2), (4, 10, 2, 2), (3, 10, 64, 3), (2, 10, None, 1)],
+    )
+    def test_pool_has_at_most_one_process_per_run_and_cpu(
+        self, parallelism, runs, cpus, processes, monkeypatch
+    ):
+        pools = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        config = ExperimentConfig(plan_c(-3), sample_size=runs, base_seed=5, parallelism=parallelism)
+        rows = run_rows(config)
+        assert pools == [processes]
+        assert rows == run_rows(ExperimentConfig(plan_c(-3), sample_size=runs, base_seed=5))
 
     def test_unpicklable_penalty_fails_before_the_pool(self):
         problem = plan_c(-3, penalty=lambda n, first, count: 1)

@@ -1,5 +1,6 @@
 from concurrent.futures import Future
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from sawalk.oracle import (
     _roots,
     _scan,
     _score_colorings,
-    domain_size,
     enumerate_optimum,
     merge_reports,
     parse_report,
@@ -61,6 +61,19 @@ class InlinePool:
         return future
 
 
+@pytest.fixture
+def inline_pools(monkeypatch, pool_at_any_size):
+    """Start every multi-worker scan on an InlinePool; the pools started."""
+    pools = []
+
+    def inline_pool(max_workers):
+        pools.append(InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", inline_pool)
+    return pools
+
+
 @pytest.fixture(scope="module")
 def plan_c_small():
     problem = make_problem("C", n=7, weight_target=3, energy_target=-2)
@@ -81,8 +94,8 @@ def small_problems(draw):
     return make_problem("C", n=n, weight_target=weight, energy_target=0)
 
 
-def brute_force_slice(problem, start, stop):
-    """Score flat indices [start, stop) one pair at a time, independently of the scan."""
+def brute_force(problem):
+    """Score every eligible pair one at a time, independently of the scan."""
     n = problem.n
     if problem.plan == "A":
         binaries = [problem.fixed_binary]
@@ -97,9 +110,7 @@ def brute_force_slice(problem, start, stop):
         ternaries = list(product((0, 1, 2), repeat=n - 1))
     histogram: dict[int, int] = {}
     scored = []
-    for flat in range(start, stop):
-        t_idx, b_idx = divmod(flat, len(binaries))
-        bits, turns = binaries[b_idx], ternaries[t_idx]
+    for turns, bits in product(ternaries, binaries):
         value = objective_value(bits, turns, problem.penalty)
         histogram[value] = histogram.get(value, 0) + 1
         scored.append((value, bits, turns))
@@ -109,39 +120,68 @@ def brute_force_slice(problem, start, stop):
         for value, bits, turns in scored
         if value == min_value
     }
-    return OracleReport(min_value, tuple(sorted(argmin)), stop - start, histogram)
+    return OracleReport(min_value, tuple(sorted(argmin)), len(scored), histogram)
+
+
+def chain(plan, n):
+    """Plan A (alternating colours) or plan C (half the beads H) on n beads."""
+    if plan == "A":
+        return make_problem("A", coord_b=("10" * n)[:n], energy_target=0)
+    return make_problem("C", n=n, weight_target=n // 2, energy_target=0)
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Fail the test if a scan builds a colouring or places a class."""
+
+    def built(*args):
+        raise AssertionError("a refused domain was scanned")
+
+    monkeypatch.setattr(oracle, "_binaries", built)
+    monkeypatch.setattr(oracle, "_place", built)
 
 
 class TestDomainSize:
+    """A scan counts every eligible (colours, turns) pair; the cap counts classes."""
+
     def test_plan_c(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
-        assert domain_size(p) == 210 * 3**9 == 4_133_430
+        assert enumerate_optimum(p).evaluations == 210 * 3**9 == 4_133_430
 
     def test_plan_a(self):
         p = make_problem("A", coord_b="1001001001", energy_target=-4)
-        assert domain_size(p) == 3**9
+        assert enumerate_optimum(p).evaluations == 3**9
 
     def test_plan_b(self):
         p = make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4)
-        assert domain_size(p) == 210
+        assert enumerate_optimum(p).evaluations == 210
 
-    def test_cap_refusal_reports_size(self):
+    def test_cap_refusal_reports_size(self, nothing_built):
         p = make_problem("C", n=20, weight_target=10, energy_target=-9)
-        with pytest.raises(SpaceTooLargeError) as err:
+        with pytest.raises(SpaceTooLargeError, match="classes") as err:
             enumerate_optimum(p, domain_cap=10**6)
-        assert err.value.size == domain_size(p)
+        assert (err.value.size, err.value.cap) == (mirror_classes(20), 10**6)
 
-    def test_colourings_past_the_bound_are_refused_before_any_is_built(self, monkeypatch):
-        def no_colourings(problem):
-            raise AssertionError("colourings were built for a refused domain")
+    @pytest.mark.parametrize("plan", "AC")
+    def test_default_cap_refuses_eighteen_beads(self, plan, nothing_built):
+        with pytest.raises(SpaceTooLargeError, match="classes") as err:
+            enumerate_optimum(chain(plan, 18))
+        assert (err.value.size, err.value.cap) == (mirror_classes(18), DEFAULT_DOMAIN_CAP)
+        assert err.value.size == 21_523_361
 
-        monkeypatch.setattr(oracle, "_binaries", no_colourings)
-        # 40,116,600 pairs pass the default cap, but each pair is a colouring
+    @pytest.mark.parametrize("plan", "AC")
+    def test_default_cap_admits_seventeen_beads(self, plan, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(oracle, "_scan", lambda problem, lo, hi: scanned.append((lo, hi)))
+        enumerate_optimum(chain(plan, 17))
+        assert scanned == [(0, mirror_classes(17))] == [(0, 7_174_454)]
+
+    def test_colourings_past_the_bound_are_refused_before_any_is_built(self, nothing_built):
+        # plan B's one class passes the default cap, but each of its 40,116,600 pairs is a colouring
         p = make_problem("B", coord_t="2" * 27, weight_target=14, energy_target=0)
-        assert domain_size(p) == 40_116_600 < DEFAULT_DOMAIN_CAP
         with pytest.raises(SpaceTooLargeError, match="colourings") as err:
             enumerate_optimum(p)
-        assert (err.value.size, err.value.cap) == (40_116_600, MAX_COLORINGS)
+        assert (err.value.size, err.value.cap) == (comb(28, 14), MAX_COLORINGS) == (40_116_600, MAX_COLORINGS)
 
 
 class TestKnownOptima:
@@ -186,7 +226,7 @@ class TestScanAgainstDirectEvaluation:
                 v = objective_value(bits, turns)
                 brute[v] = brute.get(v, 0) + 1
         assert report.histogram == brute
-        assert report.evaluations == domain_size(problem)
+        assert report.evaluations == comb(7, 3) * 3**6
 
     def test_argmin_members_reach_the_minimum(self, plan_c_small):
         problem, report = plan_c_small
@@ -195,7 +235,7 @@ class TestScanAgainstDirectEvaluation:
 
     def test_histogram_total_is_domain_size(self, plan_c_small):
         problem, report = plan_c_small
-        assert sum(report.histogram.values()) == domain_size(problem)
+        assert sum(report.histogram.values()) == report.evaluations == comb(7, 3) * 3**6
 
     def test_values_split_feasible_and_penalty(self, plan_c_small):
         _, report = plan_c_small
@@ -205,7 +245,7 @@ class TestScanAgainstDirectEvaluation:
 class TestCountAtOrBelow:
     def test_threshold_infinity_is_domain_size(self, plan_c_small):
         problem, report = plan_c_small
-        assert report.count_at_or_below(float("inf")) == domain_size(problem)
+        assert report.count_at_or_below(float("inf")) == report.evaluations == comb(7, 3) * 3**6
 
     def test_minimum_counts_rotation_closure_of_argmin(self, plan_c_small):
         problem, report = plan_c_small
@@ -241,7 +281,7 @@ class TestShardingAndCheckpoints:
         )
         with pytest.raises(ValueError, match="penalty"):
             enumerate_optimum(problem, workers=2)
-        assert enumerate_optimum(problem).evaluations == domain_size(problem)
+        assert enumerate_optimum(problem).evaluations == comb(6, 3) * 3**5
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_are_refused(self, workers):
@@ -257,7 +297,7 @@ class TestShardingAndCheckpoints:
     @given(st.data())
     def test_whole_domain_matches_brute_force(self, data):
         problem = data.draw(small_problems())
-        assert enumerate_optimum(problem) == brute_force_slice(problem, 0, domain_size(problem))
+        assert enumerate_optimum(problem) == brute_force(problem)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
@@ -281,23 +321,27 @@ class TestShardingAndCheckpoints:
         assert enumerate_optimum(problem, workers=2) == enumerate_optimum(problem)
 
     @pytest.mark.parametrize("workers", [2, 3, 5, 7])
-    def test_worker_shares_differ_by_at_most_one(self, workers, monkeypatch, pool_at_any_size):
-        pools = []
-
-        def inline_pool(max_workers):
-            pools.append(InlinePool(max_workers))
-            return pools[-1]
-
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", inline_pool)
+    def test_worker_shares_differ_by_at_most_one(self, workers, monkeypatch, inline_pools):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
         problem = make_problem("C", n=7, weight_target=3, energy_target=-2)
         report = enumerate_optimum(problem, workers=workers)
-        [pool] = pools
+        [pool] = inline_pools
         bounds = [lo for lo, _ in pool.ranges] + [pool.ranges[-1][1]]
         assert pool.max_workers == workers
         assert pool.ranges == list(zip(bounds, bounds[1:]))
         assert bounds[0] == 0 and bounds[-1] == mirror_classes(problem.n)
         sizes = [hi - lo for lo, hi in pool.ranges]
         assert max(sizes) - min(sizes) <= 1
+        assert report == enumerate_optimum(problem)
+
+    @pytest.mark.parametrize("cpus, processes", [(3, 3), (None, 1)])
+    def test_pool_has_at_most_one_process_per_cpu(self, cpus, processes, monkeypatch, inline_pools):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        problem = make_problem("C", n=7, weight_target=3, energy_target=-2)
+        report = enumerate_optimum(problem, workers=7)
+        [pool] = inline_pools
+        assert pool.max_workers == processes
+        assert len(pool.ranges) == 7  # the shares do not follow the process count
         assert report == enumerate_optimum(problem)
 
 
@@ -375,16 +419,19 @@ class TestBitSlicedScorer:
 
 
 class TestGroundTruthLadder:
-    @pytest.mark.parametrize("n, w", [(11, 5), (12, 6)])
+    @pytest.mark.parametrize("n, w", [(11, 5), (12, 6), (13, 6)])
     def test_campaign_solutions_are_oracle_minimizers(self, n, w):
-        report = enumerate_optimum(
-            make_problem("C", n=n, weight_target=w, energy_target=0), domain_cap=2 * 10**8
-        )
+        report = enumerate_optimum(make_problem("C", n=n, weight_target=w, energy_target=0))
         problem = make_problem("C", n=n, weight_target=w, energy_target=report.min_value)
         rows = run_rows(ExperimentConfig(problem, sample_size=20, base_seed=1901))
         for row in rows:
             assert not row.is_censored and row.value == report.min_value
             assert problem.solution_key(problem.coordinate(row.coord_b, row.coord_t)) in report.argmin
+
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_all_h_minimum_is_target_energy(self, n):
+        problem = make_problem("C", n=n, weight_target=n, energy_target=0)
+        assert enumerate_optimum(problem).min_value == target_energy(n)
 
 
 class TestSolverConsistency:
