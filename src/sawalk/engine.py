@@ -109,6 +109,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.probe_limit < 1:
             raise ValueError("probe limit must be at least 1")
+        if self.buffer_capacity < 1:
+            raise ValueError("buffer capacity must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from sawalk.engine import (
     SearchResult,
     run_search,
 )
-from sawalk.hpfold import HPProblem, _require_picklable_penalty, digits_text
+from sawalk.hpfold import HPProblem, digits_text
 
 CSV_COLUMNS = ("seed", "coordB", "coordT", "value", "cntProbe", "walkLength", "probesPerStep", "isCensored")
 
@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ValueError("sample size must be at least 1")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
+        # refuse the run limits now, not in the first run or a worker
+        SearchConfig(probe_limit=self.probe_limit, buffer_capacity=self.buffer_capacity)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,6 @@ def run_rows(config: ExperimentConfig, indices: Optional[Iterable[int]] = None) 
     indices = list(indices)
     if config.parallelism <= 1 or len(indices) <= 1:
         return [run_one(config, i) for i in indices]
-    _require_picklable_penalty(config.problem)
     workers = min(config.parallelism, len(indices), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(indices) // (workers * 8))
@@ -229,6 +230,8 @@ def parse_rows_csv(text: str) -> list[RunRow]:
     rows = []
     for record in reader:
         seed, coord_b, coord_t, value, cnt_probe, walk_length, pps, censored = record
+        if censored not in ("0", "1"):
+            raise ValueError(f"isCensored must be 0 or 1, got {censored!r}")
         rows.append(
             RunRow(
                 seed=int(seed),
@@ -238,7 +241,7 @@ def parse_rows_csv(text: str) -> list[RunRow]:
                 cnt_probe=int(cnt_probe),
                 walk_length=int(walk_length),
                 probes_per_step=float(pps),
-                is_censored=bool(int(censored)),
+                is_censored=censored == "1",
             )
         )
     return rows

@@ -5,8 +5,8 @@ of length n giving bead colors ('1' hydrophobic, '0' polar) and a ternary
 string of length n-1 giving relative turns (0 left, 1 right, 2 forward)
 that folds the chain onto the integer grid.  Feasible folds score the
 negated count of non-consecutive H-H lattice contacts; folds that revisit a
-grid point score a positive penalty that grows with how early and how often
-the chain collides.
+grid point score a positive penalty, ``default_penalty``, that grows with
+how early and how often the chain collides.
 
 Three search formulations are supported: plan A fixes the colors and folds
 the chain, plan B fixes the fold and searches colors (the inverse problem),
@@ -26,9 +26,8 @@ identity, in a table built next to the candidate list.
 from __future__ import annotations
 
 import math
-import pickle
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from operator import add, and_, or_
@@ -37,7 +36,6 @@ from typing import Callable, Optional, Sequence, Union
 from sawalk.mixedradix import Coordinate, RadixSpec, sample_weight_positions
 
 Digits = Union[str, Sequence[int]]
-PenaltyFn = Callable[[int, int, int], int]
 
 # lattice points are packed as (x << 16) + y; safe for |y| < 2**15, which
 # holds for every chain of at most 2**15 beads
@@ -224,7 +222,7 @@ class _PivotBoards:
                 across[j] -= 1
         self.base = list(map(add, accumulate(across), map(and_, bits, bits[1:])))
 
-    def value(self, k: int, r: int, penalty: PenaltyFn) -> int:
+    def value(self, k: int, r: int) -> int:
         """Value of the fold with beads k+1.. rotated r quarter turns about bead k."""
         cells = self.cells[r]
         n = len(cells) - 1
@@ -242,7 +240,7 @@ class _PivotBoards:
                     hi = mid
                 else:
                     lo = mid + 1
-            return penalty(n, lo, (head & tail).bit_count())
+            return default_penalty(n, lo, (head & tail).bit_count())
         h_cells = self.h_cells[0]
         h_head = head & (h_cells << shift if shift >= 0 else h_cells >> -shift)
         h_tail = tail & self.h_cells[r]
@@ -304,29 +302,14 @@ def _hh_count(pairs: Sequence[tuple[int, int]], bits: Sequence[int]) -> int:
 
 
 def default_penalty(n: int, first_collision: int, collision_count: int) -> int:
-    """Infeasibility score: earlier and more numerous collisions are worse.
+    """The one infeasibility rule: earlier and more numerous collisions are worse.
 
     Always >= 1, so penalties never overlap the feasible range (<= 0).
     """
     return (n - first_collision) + (collision_count - 1)
 
 
-def _require_picklable_penalty(problem: HPProblem) -> None:
-    """Fail before a process pool starts if the problem cannot reach its workers."""
-    try:
-        pickle.dumps(problem.penalty)
-    except (pickle.PicklingError, AttributeError, TypeError) as err:
-        raise ValueError(
-            f"penalty {problem.penalty!r} cannot be pickled for worker processes "
-            "(a lambda or local function); use a module-level function or one worker"
-        ) from err
-
-
-def objective_value(
-    coord_b: Digits,
-    coord_t: Digits,
-    penalty: PenaltyFn = default_penalty,
-) -> int:
+def objective_value(coord_b: Digits, coord_t: Digits) -> int:
     """Energy of a feasible fold (-contacts) or its infeasibility penalty."""
     bits = _color_digits(coord_b)
     turns = _turn_digits(coord_t)
@@ -335,7 +318,7 @@ def objective_value(
         raise ValueError(f"need {n - 1} turn digits for {n} beads, got {len(turns)}")
     first, collisions, pairs = _fold_analysis(turns)
     if collisions:
-        return penalty(n, first, collisions)
+        return default_penalty(n, first, collisions)
     return -_hh_count(pairs, bits)
 
 
@@ -381,7 +364,6 @@ class HPProblem:
     fixed_binary: Optional[tuple[int, ...]] = None
     fixed_ternary: Optional[tuple[int, ...]] = None
     weight_cap: int = 0
-    penalty: PenaltyFn = field(default=default_penalty, compare=False)
 
     @cached_property
     def spec(self) -> RadixSpec:
@@ -407,7 +389,7 @@ class HPProblem:
         n = self.n
         first, collisions, pairs = _fold_analysis(bits[n:])
         if collisions:
-            return self.penalty(n, first, collisions)
+            return default_penalty(n, first, collisions)
         return -_hh_count(pairs, bits)
 
     # (boards, {id(candidate): (candidate, k, r)}) of the latest plan A
@@ -422,7 +404,7 @@ class HPProblem:
         move = moves.get(id(coord))
         if move is None or move[0] is not coord:
             return self._record_objective(coord)
-        return boards.value(move[1], move[2], self.penalty)
+        return boards.value(move[1], move[2])
 
     def __getstate__(self) -> dict:
         # the bound objective and the pivot's boards are rebuilt on use
@@ -519,7 +501,6 @@ def make_problem(
     coord_b: Optional[Digits] = None,
     coord_t: Optional[Digits] = None,
     weight_cap: Optional[int] = None,
-    penalty: PenaltyFn = default_penalty,
 ) -> HPProblem:
     """Validate and assemble an HPProblem for one of the three plans.
 
@@ -588,6 +569,5 @@ def make_problem(
         fixed_binary=fixed_b,
         fixed_ternary=fixed_t,
         weight_cap=weight_cap,
-        penalty=penalty,
     )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from sawalk.hpfold import _STEP, _TURNED, HPProblem, _require_picklable_penalty
+from sawalk.hpfold import _STEP, _TURNED, HPProblem, default_penalty
 from sawalk.mixedradix import SpaceTooLargeError
 
 # Most classes a scan places by default: plans A and C up to n=17 (7,174,454
@@ -218,7 +218,7 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
         entry = scored.get(key)
         if entry is None:
             if collisions:
-                value = problem.penalty(n, first, collisions)
+                value = default_penalty(n, first, collisions)
                 entry = scored[key] = [0, {value: len(binaries)}, value, span]
             else:
                 pairs = tuple(divmod(b, n) for b in _bit_indices(mask))
@@ -278,7 +278,6 @@ def enumerate_optimum(
         raise SpaceTooLargeError(colorings, MAX_COLORINGS, "colourings")
     if workers == 1 or classes // workers < MIN_CLASSES_PER_WORKER:
         return _scan(problem, 0, classes)
-    _require_picklable_penalty(problem)
     bounds = [classes * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_scan, problem, lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sawalk import cli, oracle
+from sawalk import cli, harness, oracle
 from sawalk.cli import main
 from sawalk.harness import parse_rows_csv
 from sawalk.oracle import parse_report
@@ -91,6 +91,18 @@ class TestExperiment:
                 "experiment --plan B --coord-t 211011011 --weight 4 --target -4 "
                 "--seeds 2 --parallelism 0".split()
             )
+
+    def test_zero_buffer_capacity_refused_before_the_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SystemExit) as exc:
+            main(
+                "experiment --plan B --coord-t 211011011 --weight 4 --target -4 "
+                "--seeds 2 --buffer-capacity 0 --parallelism 2".split()
+            )
+        assert str(exc.value) == "buffer capacity must be at least 1"
 
     def test_campaign_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -114,6 +114,21 @@ class TestVisitedBuffer:
             VisitedBuffer(capacity=0)
 
 
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"probe_limit": 0}, "probe limit must be at least 1"),
+            ({"buffer_capacity": 0}, "buffer capacity must be at least 1"),
+            ({"buffer_capacity": -3}, "buffer capacity must be at least 1"),
+        ],
+    )
+    def test_limits_below_one_are_refused(self, limits, message):
+        # refused when the config is built, not when the first run starts
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**limits)
+
+
 class TestBestNeighbor:
     """The step rule: probe every unvisited neighbor, move to the first strict minimum."""
 

@@ -134,12 +134,6 @@ class TestCampaign:
         assert pools == [processes]
         assert rows == run_rows(ExperimentConfig(plan_c(-3), sample_size=runs, base_seed=5))
 
-    def test_unpicklable_penalty_fails_before_the_pool(self):
-        problem = plan_c(-3, penalty=lambda n, first, count: 1)
-        config = ExperimentConfig(problem, sample_size=4, base_seed=5, parallelism=2)
-        with pytest.raises(ValueError, match="penalty"):
-            run_rows(config)
-
     def test_probes_per_step_excludes_zero_step_runs(self):
         # weight-0 4-bead chains: every initial fold is feasible at value 0
         problem = make_problem("C", n=4, weight_target=0, energy_target=0)
@@ -202,6 +196,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             parse_rows_csv("")
 
+    @pytest.mark.parametrize("censored", ["2", "-1", "", "true", " 1"])
+    def test_censored_flag_other_than_0_or_1_rejected(self, censored):
+        # rows_csv writes only 0 or 1, so no other flag reads back unchanged
+        text = ",".join(CSV_COLUMNS) + "\n7,1001001001,211011011,-4,30,3,10.0,"
+        assert parse_rows_csv(text + "1\n")[0].is_censored
+        with pytest.raises(ValueError, match="isCensored"):
+            parse_rows_csv(text + censored + "\n")
+
     def test_json_payload(self):
         config = ExperimentConfig(plan_c(-3), sample_size=4, base_seed=2)
         summary, rows = run_experiment(config)
@@ -227,6 +229,19 @@ class TestSerialization:
     def test_parallelism_below_one_is_refused(self, parallelism):
         with pytest.raises(ValueError, match="parallelism must be at least 1"):
             ExperimentConfig(plan_c(), parallelism=parallelism)
+
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"probe_limit": 0}, "probe limit must be at least 1"),
+            ({"buffer_capacity": 0}, "buffer capacity must be at least 1"),
+            ({"probe_limit": 0, "buffer_capacity": 0}, "probe limit must be at least 1"),
+        ],
+    )
+    def test_run_limits_below_one_are_refused(self, limits, message):
+        # refused when the config is built, before any run or worker starts
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(plan_c(), parallelism=2, **limits)
 
 
 class TestMetricStatsShape:

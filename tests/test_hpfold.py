@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawalk import hpfold
 from sawalk.engine import SearchConfig, run_search
 from sawalk.hpfold import (
     MAX_BEADS,
@@ -127,10 +128,6 @@ class TestObjective:
             if not out.feasible:
                 v = objective_value([rng.randrange(2) for _ in range(10)], turns)
                 assert v >= 1
-
-    def test_custom_penalty_is_injectable(self):
-        flat = lambda n, first, count: 99
-        assert objective_value("10101", "0000", penalty=flat) == 99
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -440,13 +437,14 @@ colorings = st.integers(3, 40).flatmap(
 
 class TestTurnMoveValues:
     """Plan A values its pivot's turn moves from bitboards; they must equal
-    the fold record's values whatever the pivot, colours, penalty or order."""
+    the fold record's values whatever the pivot, colours, penalty or order.
+    A test varies the penalty by patching the module's one rule."""
 
     @staticmethod
     def _assert_exact(problem, candidates):
         n = problem.n
         for c in candidates:
-            expected = objective_value(c.digits[:n], c.digits[n:], problem.penalty)
+            expected = objective_value(c.digits[:n], c.digits[n:])
             assert problem.objective(c) == expected
 
     @staticmethod
@@ -466,23 +464,27 @@ class TestTurnMoveValues:
     def test_neighbours_match_the_record(self, bits, seed, grown, penalty):
         n = len(bits)
         rng = random.Random(seed)
-        problem = make_problem("A", coord_b=bits, energy_target=0, penalty=penalty)
+        problem = make_problem("A", coord_b=bits, energy_target=0)
         if grown:
             turns = _grown_turns(rng, n)
         else:
             turns = [rng.randrange(3) for _ in range(n - 1)]
         pivot = problem.coordinate(bits, turns)
-        candidates = problem.admissible_neighbors(pivot)
-        if decode_fold(turns).feasible:
-            # the bitboards, not the record, value every move of a feasible pivot
-            self._assert_table_holds(problem, candidates)
-        self._assert_exact(problem, candidates)
+        # the default rule alone hides a first collision one late together
+        # with a count one high; steep_penalty weighs the two apart
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hpfold, "default_penalty", penalty)
+            candidates = problem.admissible_neighbors(pivot)
+            if decode_fold(turns).feasible:
+                # the bitboards, not the record, value every move of a feasible pivot
+                self._assert_table_holds(problem, candidates)
+            self._assert_exact(problem, candidates)
 
     def test_stale_table_and_other_problem(self):
         rng = random.Random(11)
         bits = tuple(rng.randrange(2) for _ in range(16))
         problem = make_problem("A", coord_b=bits, energy_target=0)
-        other = make_problem("A", coord_b=(1,) * 16, energy_target=0, penalty=steep_penalty)
+        other = make_problem("A", coord_b=(1,) * 16, energy_target=0)
         first = problem.coordinate(bits, _grown_turns(rng, 16))
         earlier = problem.admissible_neighbors(first)
         foreign = other.admissible_neighbors(other.coordinate((1,) * 16, _grown_turns(rng, 16)))

@@ -111,7 +111,7 @@ def brute_force(problem):
     histogram: dict[int, int] = {}
     scored = []
     for turns, bits in product(ternaries, binaries):
-        value = objective_value(bits, turns, problem.penalty)
+        value = objective_value(bits, turns)
         histogram[value] = histogram.get(value, 0) + 1
         scored.append((value, bits, turns))
     min_value = min(histogram)
@@ -274,14 +274,6 @@ class TestShardingAndCheckpoints:
         parts = [_scan(problem, lo, min(lo + step, classes)) for lo in range(0, classes, step)]
         assert merge_reports(parts[::-1]) == whole
         assert merge_reports(parts[1:] + parts[:1]) == whole
-
-    def test_unpicklable_penalty_fails_before_the_pool(self, pool_at_any_size):
-        problem = make_problem(
-            "C", n=6, weight_target=3, energy_target=-1, penalty=lambda n, first, count: 1
-        )
-        with pytest.raises(ValueError, match="penalty"):
-            enumerate_optimum(problem, workers=2)
-        assert enumerate_optimum(problem).evaluations == comb(6, 3) * 3**5
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_are_refused(self, workers):
