@@ -10,13 +10,14 @@ and swapping turn digits 0 and 1 only mirrors it, which keeps its
 collisions and contacts.  So plans A and C scan the canonical turns
 (2, *rest) whose first bend is a left turn, C = (3^(n-2) + 1) / 2 classes,
 each standing for its 3 rotations and its mirror's 3 (the straight chain
-for its 3); plan B's one fold is its one class.  A scan of classes
-[lo, hi) places them depth first, in itertools.product order (rightmost
-digit fastest), and scores each fold on every colouring.  With W workers,
-worker w scans classes [C*w/W, C*(w+1)/W) and the reports merge
-associatively with ``merge_reports``; small domains are scanned in this
-process.  A scan's cost follows its class count, not its (colours, turns)
-pair count, so the domain cap counts classes.
+for its 3); plan B's one fold is its one class, read from the fold record
+and never placed.  A scan of classes [lo, hi) places them depth first, in
+itertools.product order (rightmost digit fastest), and scores each fold on
+every colouring.  With W workers, worker w scans classes
+[C*w/W, C*(w+1)/W) and the reports merge associatively with
+``merge_reports``; small domains are scanned in this process.  A scan's
+cost follows its class count, not its (colours, turns) pair count, so the
+domain cap counts classes.
 """
 from __future__ import annotations
 
@@ -26,20 +27,22 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from sawalk.hpfold import _STEP, _TURNED, HPProblem, default_penalty
+from sawalk.hpfold import _STEP, _TURNED, HPProblem, _fold_analysis, default_penalty
 from sawalk.mixedradix import SpaceTooLargeError
 
 # Most classes a scan places by default: plans A and C up to n=17 (7,174,454
-# classes), never n=18 (21,523,361).  Serial plan C scans at w=n/2 took 0.71 s
-# at n=14, 2.5 s at n=15 and 8.3 s at n=16 (2-core x86-64 box, Python 3.11).
+# classes), never n=18 (21,523,361).  Serial plan C scans at w=n/2 took 0.63 s
+# at n=14, 1.9 s at n=15 and 5.7 s at n=16 (2-core x86-64 box, Python 3.11).
 DEFAULT_DOMAIN_CAP = 10**7
-# Fewest classes worth a worker process.  A class scans in about 3 us (2-core
-# x86-64 box, Python 3.11); there plan C n=12 w=5, 14,762 classes a worker,
-# ran slower in 2 processes than in one, and n=13 w=6, 44,287, ran faster.
+# Fewest classes worth a worker process.  A class scans in about 2.4 us
+# (2-core x86-64 box, Python 3.11); there plan C n=12 w=5, 14,762 classes a
+# worker, ran about as fast in 2 processes as in one (75-100 ms), and n=13
+# w=6, 44,287, ran faster (0.17-0.19 s against 0.24-0.26 s).
 MIN_CLASSES_PER_WORKER = 3**9
-# Most colourings a scan holds.  _binaries keeps each as an n-digit tuple,
-# 209 B at n=20 and 272 B at n=28, so 2^20 of them take about 0.3 GiB.
-MAX_COLORINGS = 1 << 20
+# Most colour digits, colourings x n, a scan holds.  _binaries keeps each
+# colouring as an n-digit tuple, 272 B at n=28, so this cap, 2^20 colourings
+# at n=28, holds at most about 0.3 GiB.
+MAX_COLOR_DIGITS = 28 << 20
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,9 @@ def _bit_indices(bits: int) -> list[int]:
 # Turn digits tried after a straight prefix and after a bent one: no right
 # turn (1) before the first left turn (0) keeps one class of each mirror pair.
 _TURNS = ((0, 2), (0, 1, 2))
+# The lattice offsets ahead, left and right of each heading: where a bead
+# landing with that heading can have contacts.
+_AROUND = tuple((_STEP[h], _STEP[h - 1], _STEP[(h + 1) & 3]) for h in range(4))
 
 
 def _roots(n: int, lo: int, hi: int, prefix: tuple[int, ...] = (2,), start: int = 0):
@@ -162,37 +168,42 @@ def _place(n: int, roots, visit) -> None:
     mask)`` on each: ``turns`` is one reused list, ``first`` and
     ``collisions`` are ``_fold_analysis``'s, counted as beads land, and
     ``mask`` sets bit i * n + j for each contact (i, j) of a feasible fold.
+    A root's turns are followed as the only turns at their depths, and the
+    last bead is visited where it lands, never recorded.
     """
     turns = [0] * (n - 1)
+    last = n - 2
 
-    def land(j, t, h, p, mask, first, collisions):  # bead j + 1, by turn t
-        turns[j] = t
-        h = _TURNED[h][t]
-        p += _STEP[h]
-        if p in at:
-            return h, p, mask, first if collisions else j + 1, collisions + 1
-        at[p] = j + 1
-        if not collisions:  # contacts lie ahead, left and right of the new bead
-            for i in map(at.get, (p + _STEP[h], p + _STEP[h - 1], p + _STEP[(h + 1) & 3])):
-                if i is not None:
-                    mask |= 1 << (i * n + j + 1)
-        return h, p, mask, first, collisions
+    def grow(j, h, p, first, collisions, mask, bent):  # lands bead k = j + 1
+        k = j + 1
+        for t in forced[j] or _TURNS[bent]:
+            turns[j] = t
+            g = _TURNED[h][t]
+            q = p + _STEP[g]
+            b = bent or t == 0
+            if q in at:
+                if j == last:
+                    visit(turns, b, first if collisions else k, collisions + 1, mask)
+                else:
+                    grow(k, g, q, first if collisions else k, collisions + 1, mask, b)
+                continue
+            m = mask
+            if not collisions:  # its contacts are the placed beads ahead, left and right
+                ahead, left, right = _AROUND[g]
+                for row in (at.get(q + ahead), at.get(q + left), at.get(q + right)):
+                    if row is not None:
+                        m |= row << k
+            if j == last:
+                visit(turns, b, first, collisions, m)
+            else:
+                at[q] = 1 << (k * n)
+                grow(k, g, q, first, collisions, m, b)
+                del at[q]
 
-    def grow(j, h, p, mask, first, collisions, bent):
-        if j == n - 1:
-            return visit(turns, bent, first, collisions, mask)
-        for t in _TURNS[bent]:
-            state = land(j, t, h, p, mask, first, collisions)
-            grow(j + 1, *state, bent or t == 0)
-            if at.get(state[1]) == j + 1:
-                del at[state[1]]
-
-    for root in roots:  # a loop, not grow, places the root: plan B chains may be long
-        at = {0: 0}  # lattice point -> first bead placed there
-        state = (0, 0, 0, None, 0)
-        for j, t in enumerate(root):
-            state = land(j, t, *state)
-        grow(len(root), *state, 0 in root)
+    for root in roots:
+        at = {0: 1}  # lattice point -> 1 << (i * n), for the bead i placed there
+        forced = [(t,) for t in root] + [()] * (n - 1 - len(root))
+        grow(0, 0, 0, None, 0, 0, False)
 
 
 def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
@@ -201,16 +212,15 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
     binaries = _binaries(problem)
     beads = _bead_masks(binaries, n)
     span = (1 << len(binaries)) - 1
-    if problem.plan == "B":  # one fold, reported as given
-        roots, credits = [problem.fixed_ternary][lo:hi], (1, 1)
-    else:  # a class scores as its 3 rotations and, once bent, its mirror's 3
-        roots, credits = _roots(n, lo, hi), (3, 6)
 
     # one counter per fold record (contact mask, or (first, count) if colliding),
     # [folds, value counts, best value, minimizing colourings]
     scored: dict[object, list] = {}
     min_value = float("inf")
     argmin: list[tuple[int, tuple[int, ...]]] = []  # (minimizing colourings, turns)
+    # plan B's fold is reported as given; a class scores as its 3 rotations
+    # and, once bent, its mirror's 3
+    credits = (1, 1) if problem.plan == "B" else (3, 6)
 
     def score(turns, bent, first, collisions, mask):
         nonlocal min_value
@@ -230,7 +240,13 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
                 argmin.clear()
             argmin.append((entry[3], tuple(turns)))
 
-    _place(n, roots, score)
+    if problem.plan == "B":  # one fold, read from the record, not placed
+        first, collisions, pairs = _fold_analysis(problem.fixed_ternary)
+        if not collisions:  # scored from the record's pairs, under the mask handed to score
+            scored[0] = [0, *_score_colorings(pairs, beads, span)]
+        score(problem.fixed_ternary, False, first, collisions, 0)
+    else:
+        _place(n, _roots(n, lo, hi), score)
     histogram: dict[int, int] = {}
     for folds, counts, _, _ in scored.values():
         for value, count in counts.items():
@@ -260,22 +276,22 @@ def enumerate_optimum(
     """Scan the problem's whole eligible domain.
 
     Refuses more than ``domain_cap`` classes rather than starting a scan
-    that cannot finish, and more than ``MAX_COLORINGS`` colourings, before
-    any colouring is built or class placed.  With ``workers`` > 1 the
-    classes are split into contiguous, equally sized ranges, one per
-    worker, scanned by at most ``os.cpu_count()`` processes, and the
-    reports merged.  A domain whose ranges would hold fewer than
-    ``MIN_CLASSES_PER_WORKER`` classes each is scanned in this process.
-    Fewer than one worker is refused.
+    that cannot finish, and more than ``MAX_COLOR_DIGITS`` colour digits
+    (colourings x n), before any colouring is built, class placed or fold
+    record read.  With ``workers`` > 1 the classes are split into
+    contiguous, equally sized ranges, one per worker, scanned by at most
+    ``os.cpu_count()`` processes, and the reports merged.  A domain whose
+    ranges would hold fewer than ``MIN_CLASSES_PER_WORKER`` classes each is
+    scanned in this process.  Fewer than one worker is refused.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     classes = 1 if problem.plan == "B" else (3 ** (problem.n - 2) + 1) // 2
     if classes > domain_cap:
         raise SpaceTooLargeError(classes, domain_cap, "classes")
-    colorings = 1 if problem.plan == "A" else comb(problem.n, problem.weight_target)
-    if colorings > MAX_COLORINGS:
-        raise SpaceTooLargeError(colorings, MAX_COLORINGS, "colourings")
+    digits = problem.n * (1 if problem.plan == "A" else comb(problem.n, problem.weight_target))
+    if digits > MAX_COLOR_DIGITS:
+        raise SpaceTooLargeError(digits, MAX_COLOR_DIGITS, "colour digits")
     if workers == 1 or classes // workers < MIN_CLASSES_PER_WORKER:
         return _scan(problem, 0, classes)
     bounds = [classes * w // workers for w in range(workers + 1)]
@@ -301,8 +317,10 @@ def parse_report(text: str) -> OracleReport:
     """Read back ``report_text`` output, including the CLI's threshold lines.
 
     A ``count-at-or-below[t] = c`` line is checked against the histogram
-    and rejected when they disagree, as is text without its ``evaluations``
-    or ``min-value`` line.
+    and rejected when they disagree.  So is text without its ``evaluations``
+    or ``min-value`` line, with a key given twice, with count lines that do
+    not sum to ``evaluations``, or with a ``min-value`` other than the least
+    value counted.
     """
     evaluations = min_value = None
     histogram: dict[int, int] = {}
@@ -313,11 +331,11 @@ def parse_report(text: str) -> OracleReport:
         if not line or line.startswith("#"):
             continue
         key, _, value = (part.strip() for part in line.partition("="))
-        if key == "evaluations":
+        if key == "evaluations" and evaluations is None:
             evaluations = int(value)
-        elif key == "min-value":
+        elif key == "min-value" and min_value is None:
             min_value = int(value)
-        elif key.startswith("count[") and key.endswith("]"):
+        elif key.startswith("count[") and key.endswith("]") and int(key[6:-1]) not in histogram:
             histogram[int(key[6:-1])] = int(value)
         elif key.startswith("count-at-or-below[") and key.endswith("]"):
             threshold_counts.append((int(key[18:-1]), int(value)))
@@ -325,9 +343,13 @@ def parse_report(text: str) -> OracleReport:
             colors, turns = value.split()
             argmin.append((colors, turns))
         else:
-            raise ValueError(f"unrecognized report line: {raw!r}")
+            raise ValueError(f"unrecognized or repeated report line: {raw!r}")
     if evaluations is None or min_value is None:
         raise ValueError("report lacks its evaluations or min-value line")
+    if sum(histogram.values()) != evaluations:
+        raise ValueError(f"count lines sum to {sum(histogram.values())}, not evaluations = {evaluations}")
+    if min_value != min(histogram, default=None):
+        raise ValueError(f"min-value = {min_value} is not the least value counted")
     report = OracleReport(
         min_value=min_value,
         argmin=tuple(sorted(argmin)),

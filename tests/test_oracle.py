@@ -13,7 +13,7 @@ from sawalk.hpfold import _fold_analysis, make_problem, objective_value, target_
 from sawalk.mixedradix import SpaceTooLargeError
 from sawalk.oracle import (
     DEFAULT_DOMAIN_CAP,
-    MAX_COLORINGS,
+    MAX_COLOR_DIGITS,
     OracleReport,
     _binaries,
     _bead_masks,
@@ -132,13 +132,14 @@ def chain(plan, n):
 
 @pytest.fixture
 def nothing_built(monkeypatch):
-    """Fail the test if a scan builds a colouring or places a class."""
+    """Fail the test if a scan builds a colouring, places a class or reads a fold record."""
 
     def built(*args):
         raise AssertionError("a refused domain was scanned")
 
     monkeypatch.setattr(oracle, "_binaries", built)
     monkeypatch.setattr(oracle, "_place", built)
+    monkeypatch.setattr(oracle, "_fold_analysis", built)
 
 
 class TestDomainSize:
@@ -179,9 +180,24 @@ class TestDomainSize:
     def test_colourings_past_the_bound_are_refused_before_any_is_built(self, nothing_built):
         # plan B's one class passes the default cap, but each of its 40,116,600 pairs is a colouring
         p = make_problem("B", coord_t="2" * 27, weight_target=14, energy_target=0)
-        with pytest.raises(SpaceTooLargeError, match="colourings") as err:
+        with pytest.raises(SpaceTooLargeError, match="colour digits") as err:
             enumerate_optimum(p)
-        assert (err.value.size, err.value.cap) == (comb(28, 14), MAX_COLORINGS) == (40_116_600, MAX_COLORINGS)
+        assert (err.value.size, err.value.cap) == (28 * comb(28, 14), MAX_COLOR_DIGITS) == (1_123_264_800, 28 << 20)
+
+    def test_few_colourings_of_a_long_chain_are_refused_before_any_is_built(self, nothing_built):
+        # 979,300 colourings, under 2^20, but each of them is a 1400-digit tuple
+        p = make_problem("B", coord_t="2" * 1399, weight_target=2, energy_target=0)
+        with pytest.raises(SpaceTooLargeError, match="colour digits") as err:
+            enumerate_optimum(p)
+        assert (err.value.size, err.value.cap) == (1400 * comb(1400, 2), MAX_COLOR_DIGITS) == (1_371_020_000, 28 << 20)
+
+    def test_up_to_2_20_colourings_are_admitted_to_28_beads(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_scan", lambda problem, lo, hi: (lo, hi))
+        for n in range(3, 29):
+            for w in range(n + 1):
+                if comb(n, w) <= 1 << 20:
+                    p = make_problem("B", coord_t="2" * (n - 1), weight_target=w, energy_target=0)
+                    assert enumerate_optimum(p) == (0, 1)
 
 
 class TestKnownOptima:
@@ -356,7 +372,7 @@ class TestDepthFirstPlacement:
         _place(n, roots, visit)
         return records
 
-    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_every_class_of_plans_a_and_c(self, n):
         analyse = _fold_analysis.__wrapped__
         records = self.placed(n, _roots(n, 0, mirror_classes(n)))
@@ -411,7 +427,8 @@ class TestBitSlicedScorer:
 
 
 class TestGroundTruthLadder:
-    @pytest.mark.parametrize("n, w", [(11, 5), (12, 6), (13, 6)])
+    # (16, 8), minimum -7, also passes but takes about 12 s, so it is left out
+    @pytest.mark.parametrize("n, w", [(11, 5), (12, 6), (13, 6), (14, 7), (15, 8)])
     def test_campaign_solutions_are_oracle_minimizers(self, n, w):
         report = enumerate_optimum(make_problem("C", n=n, weight_target=w, energy_target=0))
         problem = make_problem("C", n=n, weight_target=w, energy_target=report.min_value)
@@ -479,3 +496,18 @@ class TestReportSerialization:
     def test_parse_requires_evaluations_and_min_value(self, text):
         with pytest.raises(ValueError, match="evaluations or min-value"):
             parse_report(text)
+
+    def test_parse_requires_counts_to_sum_to_evaluations(self):
+        with pytest.raises(ValueError, match="sum to 10, not evaluations = 5"):
+            parse_report("evaluations = 5\nmin-value = -1\ncount[-1] = 4\ncount[0] = 6\n")
+
+    def test_parse_requires_min_value_to_be_the_least_value_counted(self):
+        with pytest.raises(ValueError, match="min-value = -9"):
+            parse_report("evaluations = 6\nmin-value = -9\ncount[-4] = 6\n")
+
+    @pytest.mark.parametrize(
+        "line", ["evaluations = 6", "min-value = -4", "count[-4] = 6", "count[-04] = 6"]
+    )
+    def test_parse_rejects_repeated_keys(self, line):
+        with pytest.raises(ValueError, match="repeated"):
+            parse_report(f"evaluations = 6\nmin-value = -4\ncount[-4] = 6\n{line}\n")

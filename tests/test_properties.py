@@ -1,4 +1,5 @@
 """Cross-cutting invariants, checked by property search and exhaustion."""
+import dataclasses
 import json
 import random
 from itertools import product
@@ -216,20 +217,25 @@ def run_rows_of(n):
     return st.lists(row, min_size=1, max_size=8)
 
 
+@st.composite
+def oracle_reports(draw):
+    """Consistent reports: the counts sum to ``evaluations`` and ``min-value``
+    is the least value counted, as in every report a scan writes."""
+    histogram = draw(st.dictionaries(st.integers(-30, 30), st.integers(1, 10**9), min_size=1, max_size=8))
+    argmin = draw(st.lists(st.tuples(segment_text(2, 6), segment_text(3, 5)), unique=True, max_size=6))
+    return OracleReport(min(histogram), tuple(sorted(argmin)), sum(histogram.values()), histogram)
+
+
 class TestFormatRoundTrips:
-    @given(
-        st.builds(
-            OracleReport,
-            min_value=st.integers(-30, 30),
-            argmin=st.lists(
-                st.tuples(segment_text(2, 6), segment_text(3, 5)), unique=True, max_size=6
-            ).map(lambda pairs: tuple(sorted(pairs))),
-            evaluations=st.integers(0, 10**12),
-            histogram=st.dictionaries(st.integers(-30, 30), st.integers(0, 10**9), max_size=8),
-        )
-    )
+    @given(oracle_reports())
     def test_report_text_reads_back(self, report):
         assert parse_report(report_text(report)) == report
+
+    @given(oracle_reports(), st.sampled_from(["evaluations", "min_value"]), st.integers(-5, 5).filter(bool))
+    def test_inconsistent_report_text_is_refused(self, report, field, delta):
+        report = dataclasses.replace(report, **{field: getattr(report, field) + delta})
+        with pytest.raises(ValueError):
+            parse_report(report_text(report))
 
     @given(run_rows_of(6))
     def test_rows_csv_reads_back(self, rows):
