@@ -30,7 +30,7 @@ from sawalk.engine import (
     SearchResult,
     run_search,
 )
-from sawalk.hpfold import HPProblem, digits_text
+from sawalk.hpfold import HPProblem, _check_segments, digits_text
 
 CSV_COLUMNS = ("seed", "coordB", "coordT", "value", "cntProbe", "walkLength", "probesPerStep", "isCensored")
 
@@ -170,11 +170,12 @@ def aggregate(config: ExperimentConfig, rows: Sequence[RunRow]) -> ExperimentSta
 
     Censored rows count toward the cost metrics but never toward unique
     solutions or beyond-target; zero-step runs are left out of the
-    probes-per-step statistics.
+    probes-per-step statistics.  A solved row whose segments do not fit
+    the problem is refused.
     """
     problem = config.problem
     solved = [row for row in rows if not row.is_censored]
-    unique = {problem.solution_key(problem.coordinate(row.coord_b, row.coord_t)) for row in solved}
+    unique = {problem.solution_key(row.coord_b, row.coord_t) for row in solved}
     target = problem.energy_target
     stepped = [row.probes_per_step for row in rows if row.walk_length > 0]
     return ExperimentStats(
@@ -223,6 +224,9 @@ def rows_csv(rows: Sequence[RunRow]) -> str:
 
 
 def parse_rows_csv(text: str) -> list[RunRow]:
+    """Read back ``rows_csv`` output, refusing rows it never writes: an
+    ``isCensored`` other than 0 or 1, a ``coordB`` that is not 0/1 text, or
+    a ``coordT`` that is not 0/1/2 text one digit shorter than ``coordB``."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
     if tuple(header) != CSV_COLUMNS:
@@ -232,6 +236,7 @@ def parse_rows_csv(text: str) -> list[RunRow]:
         seed, coord_b, coord_t, value, cnt_probe, walk_length, pps, censored = record
         if censored not in ("0", "1"):
             raise ValueError(f"isCensored must be 0 or 1, got {censored!r}")
+        _check_segments(coord_b, coord_t, len(coord_b))
         rows.append(
             RunRow(
                 seed=int(seed),

@@ -56,6 +56,12 @@ def digits_text(digits: Sequence[int]) -> str:
     return "".join(str(d) for d in digits)
 
 
+def _check_segments(coord_b: str, coord_t: str, n: int) -> None:
+    """Refuse segment texts other than n colour digits 0/1 and n - 1 turn digits 0/1/2."""
+    if len(coord_b) != n or len(coord_t) != n - 1 or set(coord_b) - {"0", "1"} or set(coord_t) - {"0", "1", "2"}:
+        raise ValueError(f"segments must be {n} digits 0/1 and {n - 1} digits 0/1/2, got {coord_b!r} {coord_t!r}")
+
+
 def _color_digits(binary: Digits) -> tuple[int, ...]:
     bits = as_digits(binary)
     if any(b not in (0, 1) for b in bits):
@@ -322,18 +328,6 @@ def objective_value(coord_b: Digits, coord_t: Digits) -> int:
     return -_hh_count(pairs, bits)
 
 
-def canonical_turns(turns: Digits) -> tuple[int, ...]:
-    """Rotation-canonical form of a turn string: first step forced forward.
-
-    The first digit only orients the whole fold on the grid (the remaining
-    turns are relative), so the three strings differing in it encode rigid
-    rotations of one conformation.  Canonicalizing collapses them while
-    leaving mirror images distinct.
-    """
-    t = as_digits(turns)
-    return (2,) + t[1:]
-
-
 def target_energy(n: int) -> int:
     """Lowest reachable energy for an all-H chain of n beads on the square grid.
 
@@ -368,9 +362,6 @@ class HPProblem:
     @cached_property
     def spec(self) -> RadixSpec:
         return RadixSpec(((2, self.n), (3, self.n - 1)))
-
-    def split(self, coord: Coordinate) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return coord.digits[: self.n], coord.digits[self.n :]
 
     @cached_property
     def objective(self) -> Callable[[Coordinate], int]:
@@ -481,16 +472,19 @@ class HPProblem:
         """Build a full search-space coordinate from its two segments."""
         return Coordinate(self.spec, as_digits(coord_b) + as_digits(coord_t))
 
-    def solution_key(self, coord: Coordinate) -> tuple[str, str]:
-        """Identity of a solution for uniqueness counting.
+    def solution_key(self, coord_b: str, coord_t: str) -> tuple[str, str]:
+        """Identity of a solution for uniqueness counting, from its digit texts.
 
-        Turn strings are rotation-canonicalized where the fold is part of
-        the search (plans A and C); plan B reports its fixed fold verbatim.
+        The first turn digit only orients the whole fold on the grid, so
+        where the fold is searched (plans A and C) it is forced to 2: the
+        three rotations of one conformation share a key while mirror images
+        keep theirs.  Plan B reports its fixed fold verbatim.  Texts that do
+        not fit the problem are refused.
         """
-        bits, turns = self.split(coord)
-        if self.plan != "B":
-            turns = canonical_turns(turns)
-        return digits_text(bits), digits_text(turns)
+        _check_segments(coord_b, coord_t, self.n)
+        if self.plan == "B":
+            return coord_b, coord_t
+        return coord_b, "2" + coord_t[1:]
 
 
 def make_problem(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from sawalk.hpfold import _STEP, _TURNED, HPProblem, _fold_analysis, default_penalty
+from sawalk.hpfold import _STEP, _TURNED, HPProblem, _fold_analysis, default_penalty, digits_text
 from sawalk.mixedradix import SpaceTooLargeError
 
 # Most classes a scan places by default: plans A and C up to n=17 (7,174,454
@@ -39,9 +39,9 @@ DEFAULT_DOMAIN_CAP = 10**7
 # worker, ran about as fast in 2 processes as in one (75-100 ms), and n=13
 # w=6, 44,287, ran faster (0.17-0.19 s against 0.24-0.26 s).
 MIN_CLASSES_PER_WORKER = 3**9
-# Most colour digits, colourings x n, a scan holds.  _binaries keeps each
-# colouring as an n-digit tuple, 272 B at n=28, so this cap, 2^20 colourings
-# at n=28, holds at most about 0.3 GiB.
+# Most colour digits, colourings x n, a scan holds.  _colorings keeps each
+# colouring as n-digit text, 85 B with its list slot at n=28, so this cap,
+# 2^20 colourings at n=28, holds about 0.1 GiB of them.
 MAX_COLOR_DIGITS = 28 << 20
 
 
@@ -50,8 +50,8 @@ class OracleReport:
     """Result of scanning (part of) a problem's solution-eligible domain.
 
     ``evaluations`` and ``histogram`` cover every raw pair scanned, while
-    ``argmin`` lists distinct minimizing solutions with searched folds in
-    rotation-canonical text form (mirror folds stay distinct).
+    ``argmin`` lists distinct minimizing solutions as the colour and turn
+    texts of ``HPProblem.solution_key`` (mirror folds stay distinct).
     """
 
     min_value: int
@@ -83,19 +83,23 @@ def merge_reports(reports: list[OracleReport]) -> OracleReport:
     )
 
 
-def _binaries(problem: HPProblem) -> list[tuple[int, ...]]:
+def _colorings(problem: HPProblem) -> list[str]:
+    """The colourings a scan scores, as colour texts in combinations order."""
     if problem.plan == "A":
-        return [problem.fixed_binary]
-    bits_list = []
+        return [digits_text(problem.fixed_binary)]
+    colorings = []
     for ones in combinations(range(problem.n), problem.weight_target):
-        ones = set(ones)
-        bits_list.append(tuple(1 if i in ones else 0 for i in range(problem.n)))
-    return bits_list
+        bits = ["0"] * problem.n
+        for i in ones:
+            bits[i] = "1"
+        colorings.append("".join(bits))
+    return colorings
 
 
-def _bead_masks(binaries: list[tuple[int, ...]], n: int) -> list[int]:
+def _bead_masks(colorings: list[str], n: int) -> list[int]:
     """One int per bead, with bit b set when colouring b makes that bead H."""
-    return [sum(bits[i] << b for b, bits in enumerate(binaries)) for i in range(n)]
+    text = "".join(colorings)
+    return [int(text[i::n][::-1], 2) for i in range(n)]
 
 
 def _score_colorings(
@@ -133,11 +137,13 @@ def _score_colorings(
 
 
 def _bit_indices(bits: int) -> list[int]:
+    """The indices of the set bits, lowest first, in one pass over the bits."""
+    text = bin(bits)[:1:-1]  # bit i is character i
     indices = []
-    while bits:
-        low = bits & -bits
-        indices.append(low.bit_length() - 1)
-        bits ^= low
+    i = text.find("1")
+    while i >= 0:
+        indices.append(i)
+        i = text.find("1", i + 1)
     return indices
 
 
@@ -209,9 +215,9 @@ def _place(n: int, roots, visit) -> None:
 def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
     """Score classes [lo, hi) on all their colourings."""
     n = problem.n
-    binaries = _binaries(problem)
-    beads = _bead_masks(binaries, n)
-    span = (1 << len(binaries)) - 1
+    colorings = _colorings(problem)
+    beads = _bead_masks(colorings, n)
+    span = (1 << len(colorings)) - 1
 
     # one counter per fold record (contact mask, or (first, count) if colliding),
     # [folds, value counts, best value, minimizing colourings]
@@ -229,7 +235,7 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
         if entry is None:
             if collisions:
                 value = default_penalty(n, first, collisions)
-                entry = scored[key] = [0, {value: len(binaries)}, value, span]
+                entry = scored[key] = [0, {value: len(colorings)}, value, span]
             else:
                 pairs = tuple(divmod(b, n) for b in _bit_indices(mask))
                 entry = scored[key] = [0, *_score_colorings(pairs, beads, span)]
@@ -251,15 +257,14 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
     for folds, counts, _, _ in scored.values():
         for value, count in counts.items():
             histogram[value] = histogram.get(value, 0) + folds * count
-    # solution keys collapse the re-orientations of one searched fold but
-    # keep mirror images apart
+    # the texts are the solution keys: scanned turns start with 2, as do
+    # their mirrors', which are keys of their own; plan B's fold is verbatim
     if problem.plan != "B":
         argmin += [(bits, tuple((1, 0, 2)[t] for t in fold)) for bits, fold in argmin]
-    keys = {
-        problem.solution_key(problem.coordinate(binaries[b], turns))
-        for best_bits, turns in argmin
-        for b in _bit_indices(best_bits)
-    }
+    keys = set()
+    for best_bits, turns in argmin:
+        turns = digits_text(turns)
+        keys.update((colorings[b], turns) for b in _bit_indices(best_bits))
     return OracleReport(
         min_value=min_value,
         argmin=tuple(sorted(keys)),
@@ -318,13 +323,13 @@ def parse_report(text: str) -> OracleReport:
 
     A ``count-at-or-below[t] = c`` line is checked against the histogram
     and rejected when they disagree.  So is text without its ``evaluations``
-    or ``min-value`` line, with a key given twice, with count lines that do
-    not sum to ``evaluations``, or with a ``min-value`` other than the least
-    value counted.
+    or ``min-value`` line, with a key or ``argmin`` line given twice, with a
+    count below 1, with count lines that do not sum to ``evaluations``, or
+    with a ``min-value`` other than the least value counted.
     """
     evaluations = min_value = None
     histogram: dict[int, int] = {}
-    argmin: list[tuple[str, str]] = []
+    argmin: set[tuple[str, str]] = set()
     threshold_counts: list[tuple[int, int]] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -339,13 +344,15 @@ def parse_report(text: str) -> OracleReport:
             histogram[int(key[6:-1])] = int(value)
         elif key.startswith("count-at-or-below[") and key.endswith("]"):
             threshold_counts.append((int(key[18:-1]), int(value)))
-        elif key == "argmin":
+        elif key == "argmin" and tuple(value.split()) not in argmin:
             colors, turns = value.split()
-            argmin.append((colors, turns))
+            argmin.add((colors, turns))
         else:
             raise ValueError(f"unrecognized or repeated report line: {raw!r}")
     if evaluations is None or min_value is None:
         raise ValueError("report lacks its evaluations or min-value line")
+    if min(histogram.values(), default=1) < 1:
+        raise ValueError("a count line is below 1, but only values that occur are counted")
     if sum(histogram.values()) != evaluations:
         raise ValueError(f"count lines sum to {sum(histogram.values())}, not evaluations = {evaluations}")
     if min_value != min(histogram, default=None):

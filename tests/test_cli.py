@@ -223,7 +223,7 @@ class TestOracle:
         def no_colourings(problem):
             raise AssertionError("colourings were built for a refused domain")
 
-        monkeypatch.setattr(oracle, "_binaries", no_colourings)
+        monkeypatch.setattr(oracle, "_colorings", no_colourings)
         with pytest.raises(SystemExit, match="colour digits, exceeding the cap") as err:
             main(f"oracle --plan B --coord-t {'2' * 27} --weight 14 --target 0".split())
         assert "\n" not in str(err.value)

@@ -8,6 +8,7 @@ from sawalk.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     MetricStats,
+    RunRow,
     aggregate,
     derive_seed,
     experiment_json,
@@ -62,6 +63,10 @@ def small_campaign():
     config = ExperimentConfig(plan_c(), sample_size=30, base_seed=1901)
     rows = run_rows(config)
     return config, rows
+
+
+def solved_row(coord_b, coord_t):
+    return RunRow(7, coord_b, coord_t, -4, 30, 3, 10.0, False)
 
 
 class TestCampaign:
@@ -134,6 +139,26 @@ class TestCampaign:
         assert pools == [processes]
         assert rows == run_rows(ExperimentConfig(plan_c(-3), sample_size=runs, base_seed=5))
 
+    @pytest.mark.parametrize(
+        "coord_b, coord_t",
+        [
+            ("100100100x", "211011011"),
+            ("1001001002", "211011011"),
+            ("1001001001", "21101101x"),
+            ("1001001001", "211011013"),
+            ("100100100", "21101101"),
+            ("1001001001", "2110110"),
+        ],
+    )
+    def test_solved_row_that_does_not_fit_the_problem_is_refused(self, coord_b, coord_t):
+        with pytest.raises(ValueError):
+            aggregate(ExperimentConfig(plan_c()), [solved_row(coord_b, coord_t)])
+
+    def test_solved_row_with_shifted_segments_is_refused(self):
+        # 19 digits, as the problem has, but 11 colours and 8 turns
+        with pytest.raises(ValueError, match="segments must be 10 digits 0/1"):
+            aggregate(ExperimentConfig(plan_c()), [solved_row("10010010011", "21101101")])
+
     def test_probes_per_step_excludes_zero_step_runs(self):
         # weight-0 4-bead chains: every initial fold is feasible at value 0
         problem = make_problem("C", n=4, weight_target=0, energy_target=0)
@@ -203,6 +228,23 @@ class TestSerialization:
         assert parse_rows_csv(text + "1\n")[0].is_censored
         with pytest.raises(ValueError, match="isCensored"):
             parse_rows_csv(text + censored + "\n")
+
+    @pytest.mark.parametrize(
+        "coord_b, coord_t",
+        [
+            ("xxxxxxxxxx", "211011011"),  # colours other than 0/1
+            ("1001001002", "211011011"),
+            ("1001001001", "21101101x"),  # turns other than 0/1/2
+            ("1001001001", "211011013"),
+            ("1001001001", "2110110112"),  # turns not one digit shorter
+            ("1001001001", "21101101"),
+            ("", ""),
+        ],
+    )
+    def test_segments_no_writer_produces_are_rejected(self, coord_b, coord_t):
+        header = ",".join(CSV_COLUMNS) + "\n"
+        with pytest.raises(ValueError, match="segments must be"):
+            parse_rows_csv(header + f"7,{coord_b},{coord_t},-4,30,3,10.0,1\n")
 
     def test_json_payload(self):
         config = ExperimentConfig(plan_c(-3), sample_size=4, base_seed=2)

@@ -326,6 +326,27 @@ class TestSolutionTest:
         assert p.is_solution(c, -4, target=0)
 
 
+class TestSolutionKey:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            make_problem("A", coord_b="1001001001", energy_target=-4),
+            make_problem("C", n=10, weight_target=4, energy_target=-4),
+        ],
+        ids="AC",
+    )
+    def test_rotations_share_a_key_and_mirrors_do_not(self, p):
+        keys = {p.solution_key("1001001001", first + "11011011") for first in "012"}
+        assert keys == {("1001001001", "211011011")}
+        mirror = p.solution_key("1001001001", "000100100")
+        assert mirror == ("1001001001", "200100100") and mirror not in keys
+
+    def test_plan_b_keys_are_verbatim(self):
+        p = make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4)
+        for turns in ("011011011", "111011011", "211011011"):
+            assert p.solution_key("1001001001", turns) == ("1001001001", turns)
+
+
 class TestRandomDraws:
     def test_plan_a_keeps_binary_fixed(self):
         p = make_problem("A", coord_b="1001001001", energy_target=-4)
@@ -359,7 +380,7 @@ class TestRandomDraws:
 class TestFoldSymmetries:
     def test_rotation_invariance(self):
         # the first turn digit only orients the whole fold on the grid, so its
-        # three variants score alike; canonical_turns relies on this
+        # three variants score alike; solution_key relies on this
         rng = random.Random(8)
         for _ in range(1000):
             bits = tuple(rng.randrange(2) for _ in range(8))

@@ -1,3 +1,4 @@
+import time
 from concurrent.futures import Future
 from itertools import combinations, product
 from math import comb
@@ -8,16 +9,16 @@ from hypothesis import strategies as st
 
 from sawalk import oracle
 from sawalk.engine import SearchConfig, run_search
-from sawalk.harness import ExperimentConfig, run_rows
-from sawalk.hpfold import _fold_analysis, make_problem, objective_value, target_energy
+from sawalk.harness import ExperimentConfig, RunRow, run_rows
+from sawalk.hpfold import _fold_analysis, digits_text, make_problem, objective_value, target_energy
 from sawalk.mixedradix import SpaceTooLargeError
 from sawalk.oracle import (
     DEFAULT_DOMAIN_CAP,
     MAX_COLOR_DIGITS,
     OracleReport,
-    _binaries,
     _bead_masks,
     _bit_indices,
+    _colorings,
     _place,
     _roots,
     _scan,
@@ -94,29 +95,32 @@ def small_problems(draw):
     return make_problem("C", n=n, weight_target=weight, energy_target=0)
 
 
+def binaries(problem):
+    """The colourings a scan scores, as digit tuples in combinations order."""
+    if problem.plan == "A":
+        return [problem.fixed_binary]
+    n = problem.n
+    return [
+        tuple(1 if i in ones else 0 for i in range(n))
+        for ones in combinations(range(n), problem.weight_target)
+    ]
+
+
 def brute_force(problem):
     """Score every eligible pair one at a time, independently of the scan."""
-    n = problem.n
-    if problem.plan == "A":
-        binaries = [problem.fixed_binary]
-    else:
-        binaries = [
-            tuple(1 if i in ones else 0 for i in range(n))
-            for ones in combinations(range(n), problem.weight_target)
-        ]
     if problem.plan == "B":
         ternaries = [problem.fixed_ternary]
     else:
-        ternaries = list(product((0, 1, 2), repeat=n - 1))
+        ternaries = list(product((0, 1, 2), repeat=problem.n - 1))
     histogram: dict[int, int] = {}
     scored = []
-    for turns, bits in product(ternaries, binaries):
+    for turns, bits in product(ternaries, binaries(problem)):
         value = objective_value(bits, turns)
         histogram[value] = histogram.get(value, 0) + 1
         scored.append((value, bits, turns))
     min_value = min(histogram)
     argmin = {
-        problem.solution_key(problem.coordinate(bits, turns))
+        problem.solution_key(digits_text(bits), digits_text(turns))
         for value, bits, turns in scored
         if value == min_value
     }
@@ -137,7 +141,7 @@ def nothing_built(monkeypatch):
     def built(*args):
         raise AssertionError("a refused domain was scanned")
 
-    monkeypatch.setattr(oracle, "_binaries", built)
+    monkeypatch.setattr(oracle, "_colorings", built)
     monkeypatch.setattr(oracle, "_place", built)
     monkeypatch.setattr(oracle, "_fold_analysis", built)
 
@@ -412,18 +416,56 @@ class TestBitSlicedScorer:
     @given(st.data())
     def test_matches_per_colouring_count(self, data):
         n = data.draw(st.integers(3, 9), label="n")
-        binaries = _binaries(make_problem("C", n=n, weight_target=data.draw(st.integers(0, n)), energy_target=0))
+        problem = make_problem("C", n=n, weight_target=data.draw(st.integers(0, n)), energy_target=0)
+        bits = binaries(problem)
         candidates = [(i, j) for i in range(n) for j in range(i + 2, n)]
         pairs = tuple(sorted(data.draw(st.sets(st.sampled_from(candidates)), label="pairs")))
-        values = {b: -sum(binaries[b][i] & binaries[b][j] for i, j in pairs) for b in range(len(binaries))}
-        span = (1 << len(binaries)) - 1
-        counts, best, best_bits = _score_colorings(pairs, _bead_masks(binaries, n), span)
+        values = {b: -sum(bits[b][i] & bits[b][j] for i, j in pairs) for b in range(len(bits))}
+        span = (1 << len(bits)) - 1
+        counts, best, best_bits = _score_colorings(pairs, _bead_masks(_colorings(problem), n), span)
         expected: dict[int, int] = {}
         for value in values.values():
             expected[value] = expected.get(value, 0) + 1
         assert counts == expected
         assert best == min(values.values())
         assert best_bits == sum(1 << b for b, v in values.items() if v == best)
+
+
+class TestColouringMasks:
+    def test_bead_masks_are_built_in_linear_time(self):
+        # plan B n=20 w=10: 184,756 colourings, every bead H in C(19, 9) of them;
+        # masks summed one shifted bit at a time took 12-17 s
+        problem = make_problem("B", coord_t="2" * 19, weight_target=10, energy_target=0)
+        colorings = _colorings(problem)
+        start = time.process_time()
+        beads = _bead_masks(colorings, 20)
+        assert time.process_time() - start < 2
+        assert len(colorings) == comb(20, 10) == 184_756
+        assert [bead.bit_count() for bead in beads] == [comb(19, 9)] * 20
+
+
+def lowest_bits_cleared(bits):
+    """Reference decoder: clear the lowest set bit until none is left."""
+    indices = []
+    while bits:
+        low = bits & -bits
+        indices.append(low.bit_length() - 1)
+        bits ^= low
+    return indices
+
+
+class TestBitIndices:
+    def test_dense_mask_decodes_in_one_pass(self):
+        # clearing one bit per pass over a 2^18-bit mask took about 4 s
+        start = time.process_time()
+        indices = _bit_indices((1 << (1 << 18)) - 1)
+        assert time.process_time() - start < 0.5
+        assert indices == list(range(1 << 18))
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 1 << 3000))
+    def test_matches_the_reference_decoder(self, bits):
+        assert _bit_indices(bits) == lowest_bits_cleared(bits)
 
 
 class TestGroundTruthLadder:
@@ -435,7 +477,7 @@ class TestGroundTruthLadder:
         rows = run_rows(ExperimentConfig(problem, sample_size=20, base_seed=1901))
         for row in rows:
             assert not row.is_censored and row.value == report.min_value
-            assert problem.solution_key(problem.coordinate(row.coord_b, row.coord_t)) in report.argmin
+            assert problem.solution_key(row.coord_b, row.coord_t) in report.argmin
 
     @pytest.mark.parametrize("n", range(13, 17))
     def test_all_h_minimum_is_target_energy(self, n):
@@ -458,7 +500,8 @@ class TestSolverConsistency:
         for seed in range(10):
             res = run_search(SearchConfig(seed=seed), problem)
             assert not res.is_censored
-            assert problem.solution_key(res.coordinate) in report.argmin
+            row = RunRow.from_result(res, problem.n)
+            assert problem.solution_key(row.coord_b, row.coord_t) in report.argmin
 
 
 class TestReportSerialization:
@@ -501,12 +544,24 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="sum to 10, not evaluations = 5"):
             parse_report("evaluations = 5\nmin-value = -1\ncount[-1] = 4\ncount[0] = 6\n")
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            "min-value = -1\ncount[-1] = 9\ncount[0] = -3",  # sums to evaluations
+            "min-value = -2\ncount[-2] = 0\ncount[0] = 6",  # would pass as min-value
+        ],
+    )
+    def test_parse_rejects_counts_below_one(self, counts):
+        with pytest.raises(ValueError, match="below 1"):
+            parse_report(f"evaluations = 6\n{counts}\n")
+
     def test_parse_requires_min_value_to_be_the_least_value_counted(self):
         with pytest.raises(ValueError, match="min-value = -9"):
             parse_report("evaluations = 6\nmin-value = -9\ncount[-4] = 6\n")
 
     @pytest.mark.parametrize(
-        "line", ["evaluations = 6", "min-value = -4", "count[-4] = 6", "count[-04] = 6"]
+        "line",
+        ["evaluations = 6", "min-value = -4", "count[-4] = 6", "count[-04] = 6", "argmin = 1100 222\nargmin = 1100 222"],
     )
     def test_parse_rejects_repeated_keys(self, line):
         with pytest.raises(ValueError, match="repeated"):
