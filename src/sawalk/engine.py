@@ -6,13 +6,17 @@ probe budget before the stop test passes is censored, which is a normal
 reportable outcome rather than an error.  Every random choice in a run is
 drawn from one seeded stream, so a (seed, config, problem) triple fully
 determines the result.
+
+The walk's points are digit tuples, which the problem's four methods take
+and return; a ``Coordinate`` is built only for ``SearchResult.coordinate``
+and for each event an ``observer`` sees.
 """
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Hashable, Optional, Protocol
 
 from sawalk.mixedradix import (
     Coordinate,
@@ -28,17 +32,20 @@ DEFAULT_BUFFER_CAPACITY = 2**20
 
 
 class SearchProblem(Protocol):
-    """What the engine needs from a problem definition."""
+    """What the engine needs from a problem: four methods on digit tuples.
+
+    ``run_search`` builds a ``Coordinate`` only for its result and observer.
+    """
 
     spec: RadixSpec
 
-    def objective(self, coord: Coordinate) -> float: ...
+    def objective(self, digits: tuple[int, ...]) -> float: ...
 
-    def admissible_neighbors(self, coord: Coordinate) -> list[Coordinate]: ...
+    def admissible_neighbors(self, digits: tuple[int, ...]) -> list[tuple[int, ...]]: ...
 
-    def is_solution(self, coord: Coordinate, value: float, target: Optional[float] = None) -> bool: ...
+    def is_solution(self, digits: tuple[int, ...], value: float, target: Optional[float] = None) -> bool: ...
 
-    def random_coordinate(self, rng: random.Random) -> Coordinate: ...
+    def random_coordinate(self, rng: random.Random) -> tuple[int, ...]: ...
 
 
 @dataclass
@@ -46,31 +53,32 @@ class FunctionProblem:
     """Adapter turning a plain objective function into a search problem.
 
     All distance-1 moves are admissible and the stop test is value <= target.
+    ``fn`` sees a ``Coordinate``; the engine-facing methods wrap and unwrap it.
     """
 
     spec: RadixSpec
     fn: Callable[[Coordinate], float]
     target: float
 
-    def objective(self, coord: Coordinate) -> float:
-        return self.fn(coord)
+    def objective(self, digits: tuple[int, ...]) -> float:
+        return self.fn(Coordinate(self.spec, digits))
 
-    def admissible_neighbors(self, coord: Coordinate) -> list[Coordinate]:
-        return neighbors(coord)
+    def admissible_neighbors(self, digits: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [c.digits for c in neighbors(Coordinate(self.spec, digits))]
 
-    def is_solution(self, coord: Coordinate, value: float, target: Optional[float] = None) -> bool:
+    def is_solution(self, digits: tuple[int, ...], value: float, target: Optional[float] = None) -> bool:
         bound = self.target if target is None else target
         return value <= bound
 
-    def random_coordinate(self, rng: random.Random) -> Coordinate:
-        return random_coordinate(self.spec, rng)
+    def random_coordinate(self, rng: random.Random) -> tuple[int, ...]:
+        return random_coordinate(self.spec, rng).digits
 
 
 class VisitedBuffer:
     """Insertion-ordered set of pivots with FIFO eviction past capacity.
 
-    Pivots are keyed by their digit tuple, which hashes in C, so one buffer
-    serves coordinates of one space.  Membership is exact for everything
+    Pivots are keyed by themselves: the walk's digit tuples hash in C, and a
+    ``Coordinate`` hashes like its digits.  Membership is exact for everything
     retained; once the buffer overflows, the oldest pivots are forgotten
     first and may be walked again later.  Adding a retained pivot again does
     not refresh its age.
@@ -82,19 +90,18 @@ class VisitedBuffer:
         self.capacity = capacity
         # an OrderedDict evicts its oldest key in O(1); a plain dict's
         # next(iter(d)) rescans the slots freed by earlier evictions
-        self._entries: OrderedDict[tuple[int, ...], None] = OrderedDict()
+        self._entries: OrderedDict[Hashable, None] = OrderedDict()
 
-    def add(self, coord: Coordinate) -> None:
+    def add(self, pivot: Hashable) -> None:
         entries = self._entries
-        key = coord.digits
-        if key in entries:
+        if pivot in entries:
             return
-        entries[key] = None
+        entries[pivot] = None
         if len(entries) > self.capacity:
             entries.popitem(last=False)
 
-    def __contains__(self, coord: Coordinate) -> bool:
-        return coord.digits in self._entries
+    def __contains__(self, pivot: Hashable) -> bool:
+        return pivot in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -136,8 +143,6 @@ class SearchResult:
         return self.probe_count / self.walk_length
 
 
-
-
 def run_search(
     config: SearchConfig,
     problem: SearchProblem,
@@ -167,7 +172,7 @@ def run_search(
     solved run reports the pivot that passed the stop test; a censored run
     reports the last pivot with the lowest value.  ``observer(event, coord,
     value)``, when given, sees the initial pivot as ``"init"`` and each new
-    pivot as ``"step"`` or ``"restart"``.
+    pivot as ``"step"`` or ``"restart"``, as a ``Coordinate`` built for it.
     """
     rng = random.Random(config.seed)
     objective = problem.objective
@@ -182,7 +187,7 @@ def run_search(
     restarts = 0
     visited.add(pivot)
     if observer is not None:
-        observer("init", pivot, value)
+        observer("init", Coordinate._unchecked(problem.spec, pivot), value)
     best, best_value = pivot, value
     solved = problem.is_solution(pivot, value, target)
     while not solved and probe_count < config.probe_limit:
@@ -190,13 +195,13 @@ def run_search(
         candidates = problem.admissible_neighbors(pivot)
         choice = None
         for i in permuted_indices(len(candidates), rng):
-            coord = candidates[i]
-            if coord in visited:
+            candidate = candidates[i]
+            if candidate in visited:
                 continue
-            coord_value = objective(coord)
+            candidate_value = objective(candidate)
             probe_count += 1
-            if choice is None or coord_value < choice_value:
-                choice, choice_value = coord, coord_value
+            if choice is None or candidate_value < choice_value:
+                choice, choice_value = candidate, candidate_value
         if choice is None:
             choice = problem.random_coordinate(rng)
             choice_value = objective(choice)
@@ -209,7 +214,7 @@ def run_search(
         walk_length += 1
         visited.add(pivot)
         if observer is not None:
-            observer(event, pivot, value)
+            observer(event, Coordinate._unchecked(problem.spec, pivot), value)
         if value <= best_value:
             best, best_value = pivot, value
         solved = problem.is_solution(pivot, value, target)
@@ -219,7 +224,7 @@ def run_search(
         best, best_value = pivot, value
     return SearchResult(
         seed=config.seed,
-        coordinate=best,
+        coordinate=Coordinate._unchecked(problem.spec, best),
         value=best_value,
         probe_count=probe_count,
         walk_length=walk_length,

@@ -33,7 +33,7 @@ from itertools import accumulate, compress
 from operator import add, and_, or_
 from typing import Callable, Optional, Sequence, Union
 
-from sawalk.mixedradix import Coordinate, RadixSpec, sample_weight_positions
+from sawalk.mixedradix import RadixSpec, sample_weight_positions
 
 Digits = Union[str, Sequence[int]]
 
@@ -344,7 +344,7 @@ def target_energy(n: int) -> int:
 class HPProblem:
     """One folding search instance: objective, move filter, and stop test.
 
-    The search space is always n binary color digits followed by n-1
+    Its points are digit tuples: n binary color digits followed by n-1
     ternary turn digits.  The plan decides which segment the walk may move
     in: 'A' turns only, 'B' colors only, 'C' both.  Color moves are
     admissible only while the resulting weight stays at or below
@@ -364,8 +364,8 @@ class HPProblem:
         return RadixSpec(((2, self.n), (3, self.n - 1)))
 
     @cached_property
-    def objective(self) -> Callable[[Coordinate], int]:
-        """Energy of a coordinate's fold (-H-H contacts), or its penalty.
+    def objective(self) -> Callable[[tuple[int, ...]], int]:
+        """Energy of a point's fold (-H-H contacts), or its penalty.
 
         Plan A values the turn moves of its latest pivot from that pivot's
         bitboards and everything else from the fold record; plans B and C
@@ -374,14 +374,13 @@ class HPProblem:
         """
         return self._turn_move_objective if self.plan == "A" else self._record_objective
 
-    def _record_objective(self, coord: Coordinate) -> int:
-        # unchecked: coordinates were validated when they were built
-        bits = coord.digits
+    def _record_objective(self, digits: tuple[int, ...]) -> int:
+        # unchecked: points come from random_coordinate and admissible_neighbors
         n = self.n
-        first, collisions, pairs = _fold_analysis(bits[n:])
+        first, collisions, pairs = _fold_analysis(digits[n:])
         if collisions:
             return default_penalty(n, first, collisions)
-        return -_hh_count(pairs, bits)
+        return -_hh_count(pairs, digits)
 
     # (boards, {id(candidate): (candidate, k, r)}) of the latest plan A
     # pivot, empty until admissible_neighbors meets a feasible pivot.  The
@@ -390,11 +389,11 @@ class HPProblem:
     # instance copy, and __getstate__ leaves it out of pickles.
     _turn_moves = (None, {})
 
-    def _turn_move_objective(self, coord: Coordinate) -> int:
+    def _turn_move_objective(self, digits: tuple[int, ...]) -> int:
         boards, moves = self._turn_moves
-        move = moves.get(id(coord))
-        if move is None or move[0] is not coord:
-            return self._record_objective(coord)
+        move = moves.get(id(digits))
+        if move is None or move[0] is not digits:
+            return self._record_objective(digits)
         return boards.value(move[1], move[2])
 
     def __getstate__(self) -> dict:
@@ -404,18 +403,15 @@ class HPProblem:
         state.pop("_turn_moves", None)
         return state
 
-    def admissible_neighbors(self, coord: Coordinate) -> list[Coordinate]:
+    def admissible_neighbors(self, digits: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Distance-1 moves the plan admits, position-major, -1 before +1.
 
         The engine's random permutation indexes into this list, so its order
         is part of every walk's behaviour.
         """
-        digits = coord.digits
         n = self.n
-        spec = self.spec
-        make = Coordinate._unchecked
         scratch = list(digits)
-        result: list[Coordinate] = []
+        result: list[tuple[int, ...]] = []
         append = result.append
         if self.plan in ("B", "C"):
             below_cap = sum(digits[:n]) < self.weight_cap
@@ -423,17 +419,17 @@ class HPProblem:
                 d = digits[i]
                 if d or below_cap:
                     scratch[i] = 1 - d
-                    append(make(spec, tuple(scratch)))
+                    append(tuple(scratch))
                     scratch[i] = d
         if self.plan in ("A", "C"):
             for i in range(n, 2 * n - 1):
                 d = digits[i]
                 if d > 0:
                     scratch[i] = d - 1
-                    append(make(spec, tuple(scratch)))
+                    append(tuple(scratch))
                 if d < 2:
                     scratch[i] = d + 1
-                    append(make(spec, tuple(scratch)))
+                    append(tuple(scratch))
                 scratch[i] = d
         if self.plan == "A":
             # every pivot is a new fold: decode it without filling the cache
@@ -447,16 +443,16 @@ class HPProblem:
             object.__setattr__(self, "_turn_moves", (boards, moves))
         return result
 
-    def is_solution(self, coord: Coordinate, value: int, target: Optional[int] = None) -> bool:
+    def is_solution(self, digits: tuple[int, ...], value: int, target: Optional[int] = None) -> bool:
         """Stop test: value at or below target and exact target weight."""
         bound = self.energy_target if target is None else target
         if value > bound:
             return False
         if self.plan == "A":
             return True
-        return sum(coord.digits[: self.n]) == self.weight_target
+        return sum(digits[: self.n]) == self.weight_target
 
-    def random_coordinate(self, rng: random.Random) -> Coordinate:
+    def random_coordinate(self, rng: random.Random) -> tuple[int, ...]:
         """Initial or restart draw honoring the plan's fixed segment and weight."""
         if self.plan == "A":
             bits = self.fixed_binary
@@ -466,11 +462,7 @@ class HPProblem:
             turns = self.fixed_ternary
         else:
             turns = tuple(rng.randrange(3) for _ in range(self.n - 1))
-        return Coordinate._unchecked(self.spec, bits + turns)
-
-    def coordinate(self, coord_b: Digits, coord_t: Digits) -> Coordinate:
-        """Build a full search-space coordinate from its two segments."""
-        return Coordinate(self.spec, as_digits(coord_b) + as_digits(coord_t))
+        return bits + turns
 
     def solution_key(self, coord_b: str, coord_t: str) -> tuple[str, str]:
         """Identity of a solution for uniqueness counting, from its digit texts.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from sawalk.hpfold import _STEP, _TURNED, HPProblem, _fold_analysis, default_penalty, digits_text
+from sawalk.hpfold import _STEP, _TURNED, HPProblem, _check_segments, _fold_analysis, default_penalty, digits_text
 from sawalk.mixedradix import SpaceTooLargeError
 
 # Most classes a scan places by default: plans A and C up to n=17 (7,174,454
@@ -323,9 +323,10 @@ def parse_report(text: str) -> OracleReport:
 
     A ``count-at-or-below[t] = c`` line is checked against the histogram
     and rejected when they disagree.  So is text without its ``evaluations``
-    or ``min-value`` line, with a key or ``argmin`` line given twice, with a
-    count below 1, with count lines that do not sum to ``evaluations``, or
-    with a ``min-value`` other than the least value counted.
+    or ``min-value`` line, with a key or ``argmin`` line given twice or an
+    ``argmin`` pair that is not colour and turn digits, with a count below
+    1, with count lines that do not sum to ``evaluations``, or with a
+    ``min-value`` other than the least value counted.
     """
     evaluations = min_value = None
     histogram: dict[int, int] = {}
@@ -346,6 +347,7 @@ def parse_report(text: str) -> OracleReport:
             threshold_counts.append((int(key[18:-1]), int(value)))
         elif key == "argmin" and tuple(value.split()) not in argmin:
             colors, turns = value.split()
+            _check_segments(colors, turns, len(colors))
             argmin.add((colors, turns))
         else:
             raise ValueError(f"unrecognized or repeated report line: {raw!r}")

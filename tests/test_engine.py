@@ -8,7 +8,7 @@ from sawalk.engine import (
     VisitedBuffer,
     run_search,
 )
-from sawalk.hpfold import make_problem
+from sawalk.hpfold import as_digits, make_problem
 from sawalk.mixedradix import Coordinate, RadixSpec, parse_coordinate, rank_distance
 
 
@@ -26,11 +26,11 @@ def tiny_problem(target=0):
 def line_problem():
     """A 5-point line scored by its digit, unreachable target, and its midpoint."""
     spec = RadixSpec(((5, 1),))
-    return FunctionProblem(spec, lambda c: c.digits[0], -1), parse_coordinate(spec, "2")
+    return FunctionProblem(spec, lambda c: c.digits[0], -1), (2,)
 
 
 class FixedStart:
-    """A problem whose every random draw is one pivot, so a walk starts there."""
+    """A problem whose every random draw is one pivot (a digit tuple), so a walk starts there."""
 
     def __init__(self, problem, pivot):
         self._problem = problem
@@ -136,7 +136,7 @@ class TestBestNeighbor:
         # weight-5 pivot one ternary move away from a -4 conformation; the
         # weight-5 choice fails the stop test and the probe limit ends the walk
         problem = make_problem("C", n=10, weight_target=4, energy_target=-4, weight_cap=5)
-        pivot = problem.coordinate("1100101001", "021101111")
+        pivot = as_digits("1100101001") + as_digits("021101111")
         result, events = walk_events(SearchConfig(seed=3, probe_limit=2), FixedStart(problem, pivot))
         assert [event for event, *_ in events] == ["init", "step"]
         _, choice, value, probes = events[1]
@@ -159,7 +159,7 @@ class TestBestNeighbor:
         # every admissible neighbor of the pivot is already visited: the step
         # rule finds no move, probes nothing and hands over to a restart
         problem = tiny_problem()
-        pivot = parse_coordinate(problem.spec, "0000.000")
+        pivot = parse_coordinate(problem.spec, "0000.000").digits
         real = engine.VisitedBuffer
 
         def prefilled(capacity):
@@ -178,7 +178,7 @@ class TestBestNeighbor:
         spec = RadixSpec(((3, 2),))
         goal = parse_coordinate(spec, "11")
         problem = FunctionProblem(spec, lambda c: rank_distance(c, goal), -1)
-        _, events = walk_events(SearchConfig(seed=1, probe_limit=2), FixedStart(problem, goal))
+        _, events = walk_events(SearchConfig(seed=1, probe_limit=2), FixedStart(problem, goal.digits))
         event, _, value, _ = events[1]
         assert event == "step" and value > 0
 
@@ -186,7 +186,7 @@ class TestBestNeighbor:
         # middle of a 3-point line: both neighbors score the same
         spec = RadixSpec(((3, 1),))
         problem = FunctionProblem(spec, lambda c: 0 if c.digits[0] != 1 else 5, 0)
-        start = FixedStart(problem, parse_coordinate(spec, "1"))
+        start = FixedStart(problem, (1,))
         hits = 0
         trials = 10_000
         for seed in range(trials):
@@ -203,7 +203,7 @@ class TestSawStep:
         (_, pivot, _, _), (event, moved, _, probes) = events
         assert event == "step"
         assert rank_distance(pivot, moved) == 1
-        assert probes == len(problem.admissible_neighbors(pivot))
+        assert probes == len(problem.admissible_neighbors(pivot.digits))
         assert result.walk_length == 1 and result.restarts == 0
 
     def test_trapped_step_restarts(self):
@@ -261,7 +261,7 @@ class TestRunSearch:
         for seed in range(10):
             res = run_search(SearchConfig(seed=seed), problem)
             assert not res.is_censored
-            assert problem.is_solution(res.coordinate, res.value)
+            assert problem.is_solution(res.coordinate.digits, res.value)
             assert sum(res.coordinate.digits[:10]) == 4
 
     def test_immediate_solution_has_walk_length_zero(self):
@@ -351,6 +351,16 @@ class TestRunSearch:
         assert len(kinds) - 1 == result.walk_length
         assert kinds.count("restart") == result.restarts > 0
         assert sum(probes for *_, probes in events) == result.probe_count
+        # the problem walks digit tuples; each event gets a Coordinate built for it
+        assert all(type(coord) is Coordinate and coord.spec == problem.spec for _, coord, *_ in events)
+
+    def test_result_coordinate_is_built_from_the_digits(self):
+        # a -4 conformation at the exact weight passes the stop test at once
+        problem = make_problem("C", n=10, weight_target=4, energy_target=-4)
+        digits = as_digits("1001001001") + as_digits("211011011")
+        result = run_search(SearchConfig(seed=3), FixedStart(problem, digits))
+        assert result.walk_length == 0
+        assert result.coordinate == Coordinate(problem.spec, digits)
 
     def test_restart_draw_respects_weight_constraint(self):
         # 63 reachable coordinates, unreachable target: restarts are inevitable

@@ -20,7 +20,7 @@ from sawalk.harness import (
     run_rows,
     stats,
 )
-from sawalk.hpfold import make_problem
+from sawalk.hpfold import as_digits, make_problem
 
 
 def plan_c(target=-4, **kwargs):
@@ -80,8 +80,8 @@ class TestCampaign:
         problem = config.problem
         for row in rows:
             if not row.is_censored:
-                coord = problem.coordinate(row.coord_b, row.coord_t)
-                assert problem.is_solution(coord, row.value)
+                digits = as_digits(row.coord_b) + as_digits(row.coord_t)
+                assert problem.is_solution(digits, row.value)
 
     def test_unique_solutions_collapse_rotations(self, small_campaign):
         config, rows = small_campaign

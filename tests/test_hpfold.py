@@ -12,6 +12,7 @@ from sawalk.engine import SearchConfig, run_search
 from sawalk.hpfold import (
     MAX_BEADS,
     _fold_analysis,
+    as_digits,
     decode_fold,
     default_penalty,
     make_problem,
@@ -20,9 +21,21 @@ from sawalk.hpfold import (
     weight,
 )
 from sawalk.instances import load_instances
-from sawalk.mixedradix import neighbors, rank_distance
+from sawalk.mixedradix import Coordinate, neighbors, rank_distance
 
 LITERATURE = Path(__file__).resolve().parent.parent / "instances" / "hp_literature.instances"
+
+
+def point(coord_b, coord_t):
+    """The digit tuple a problem walks: colour digits, then turn digits."""
+    return as_digits(coord_b) + as_digits(coord_t)
+
+
+ONE_PER_PLAN = [
+    make_problem("A", coord_b="1001001001", energy_target=-4),
+    make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4),
+    make_problem("C", n=10, weight_target=4, energy_target=-4),
+]
 
 
 class TestWeight:
@@ -234,30 +247,30 @@ class TestMakeProblem:
 
 class TestPlanMoves:
     def _weights(self, problem, coords):
-        return [sum(c.digits[: problem.n]) for c in coords]
+        return [sum(c[: problem.n]) for c in coords]
 
     def test_plan_a_moves_only_turns(self):
         p = make_problem("A", coord_b="1001001001", energy_target=-4)
-        c = p.coordinate("1001001001", "211011011")
+        c = point("1001001001", "211011011")
         moves = p.admissible_neighbors(c)
-        assert all(m.digits[:10] == c.digits[:10] for m in moves)
-        assert all(rank_distance(c, m) == 1 for m in moves)
+        assert all(m[:10] == c[:10] for m in moves)
+        assert all(rank_distance(Coordinate(p.spec, c), Coordinate(p.spec, m)) == 1 for m in moves)
 
     def test_plan_b_moves_only_colors_capped(self):
         p = make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4)
-        c = p.coordinate("1111100000", "211011011")  # weight 5 == cap
+        c = point("1111100000", "211011011")  # weight 5 == cap
         moves = p.admissible_neighbors(c)
-        assert all(m.digits[10:] == c.digits[10:] for m in moves)
+        assert all(m[10:] == c[10:] for m in moves)
         # at the cap no 0->1 flip is admissible
         assert set(self._weights(p, moves)) == {4}
         assert len(moves) == 5
 
     def test_plan_c_moves_both(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
-        c = p.coordinate("1001001001", "211011011")
+        c = point("1001001001", "211011011")
         moves = p.admissible_neighbors(c)
-        binary_moves = [m for m in moves if m.digits[:10] != c.digits[:10]]
-        ternary_moves = [m for m in moves if m.digits[10:] != c.digits[10:]]
+        binary_moves = [m for m in moves if m[:10] != c[:10]]
+        ternary_moves = [m for m in moves if m[10:] != c[10:]]
         assert len(binary_moves) + len(ternary_moves) == len(moves)
         assert len(binary_moves) == 10  # weight 4 < cap: every flip admissible
         assert max(self._weights(p, binary_moves)) <= p.weight_cap
@@ -266,11 +279,11 @@ class TestPlanMoves:
     def _admits(problem, pivot, move):
         """The plan's move rule, stated on a candidate from mixedradix.neighbors."""
         n = problem.n
-        i = next(k for k, (a, b) in enumerate(zip(pivot.digits, move.digits)) if a != b)
+        i = next(k for k, (a, b) in enumerate(zip(pivot, move)) if a != b)
         if i >= n:
             return problem.plan != "B"
-        w = sum(move.digits[:n])
-        return problem.plan != "A" and (w <= problem.weight_cap or w < sum(pivot.digits[:n]))
+        w = sum(move[:n])
+        return problem.plan != "A" and (w <= problem.weight_cap or w < sum(pivot[:n]))
 
     @pytest.mark.parametrize(
         "problem",
@@ -289,39 +302,48 @@ class TestPlanMoves:
             pivot = problem.random_coordinate(rng)
             moves = problem.admissible_neighbors(pivot)
             for c in [pivot] + moves:
-                expected = [m for m in neighbors(c) if self._admits(problem, c, m)]
+                reference = [m.digits for m in neighbors(Coordinate(problem.spec, c))]
+                expected = [m for m in reference if self._admits(problem, c, m)]
                 assert problem.admissible_neighbors(c) == expected
 
     def test_downward_weight_moves_always_allowed(self):
         p = make_problem("C", n=4, weight_target=2, energy_target=0, weight_cap=2)
-        c = p.coordinate("1100", "222")
+        c = point("1100", "222")
         moves = p.admissible_neighbors(c)
-        weights = self._weights(p, [m for m in moves if m.digits[:4] != c.digits[:4]])
+        weights = self._weights(p, [m for m in moves if m[:4] != c[:4]])
         assert weights and all(w == 1 for w in weights)
+
+    @pytest.mark.parametrize("p", ONE_PER_PLAN, ids="ABC")
+    def test_moves_are_plain_tuples(self, p):
+        # the walk's points are digit tuples: no Coordinate per candidate
+        rng = random.Random(8)
+        for _ in range(30):
+            moves = p.admissible_neighbors(p.random_coordinate(rng))
+            assert moves and all(type(m) is tuple for m in moves)
 
 
 class TestSolutionTest:
     def test_plan_a_ignores_weight(self):
         p = make_problem("A", coord_b="1001001001", energy_target=-4)
-        c = p.coordinate("1001001001", "211011011")
+        c = point("1001001001", "211011011")
         assert p.is_solution(c, -4)
         assert not p.is_solution(c, -3)
 
     def test_exact_weight_required(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
-        good = p.coordinate("1001001001", "211011011")
-        heavy = p.coordinate("1101001001", "211011011")
+        good = point("1001001001", "211011011")
+        heavy = point("1101001001", "211011011")
         assert p.is_solution(good, -4)
         assert not p.is_solution(heavy, -4)
 
     def test_beyond_target_counts_as_solution(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-3)
-        c = p.coordinate("1001001001", "211011011")
+        c = point("1001001001", "211011011")
         assert p.is_solution(c, -4)
 
     def test_target_override(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
-        c = p.coordinate("1001001001", "211011011")
+        c = point("1001001001", "211011011")
         assert not p.is_solution(c, -4, target=-5)
         assert p.is_solution(c, -4, target=0)
 
@@ -353,28 +375,35 @@ class TestRandomDraws:
         rng = random.Random(6)
         for _ in range(30):
             c = p.random_coordinate(rng)
-            assert c.digits[:10] == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
+            assert c[:10] == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
 
     def test_plan_b_keeps_ternary_fixed_and_weight_exact(self):
         p = make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4)
         rng = random.Random(6)
         for _ in range(30):
             c = p.random_coordinate(rng)
-            assert c.digits[10:] == (2, 1, 1, 0, 1, 1, 0, 1, 1)
-            assert sum(c.digits[:10]) == 4
+            assert c[10:] == (2, 1, 1, 0, 1, 1, 0, 1, 1)
+            assert sum(c[:10]) == 4
 
     def test_plan_c_weight_exact(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
         rng = random.Random(6)
         for _ in range(30):
-            assert sum(p.random_coordinate(rng).digits[:10]) == 4
+            assert sum(p.random_coordinate(rng)[:10]) == 4
+
+    @pytest.mark.parametrize("p", ONE_PER_PLAN, ids="ABC")
+    def test_draws_are_plain_tuples(self, p):
+        rng = random.Random(6)
+        for _ in range(30):
+            c = p.random_coordinate(rng)
+            assert type(c) is tuple and len(c) == p.spec.digit_count
 
     def test_objective_matches_module_function(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
         rng = random.Random(10)
         for _ in range(100):
             c = p.random_coordinate(rng)
-            assert p.objective(c) == objective_value(c.digits[:10], c.digits[10:])
+            assert p.objective(c) == objective_value(c[:10], c[10:])
 
 
 class TestFoldSymmetries:
@@ -465,7 +494,7 @@ class TestTurnMoveValues:
     def _assert_exact(problem, candidates):
         n = problem.n
         for c in candidates:
-            expected = objective_value(c.digits[:n], c.digits[n:])
+            expected = objective_value(c[:n], c[n:])
             assert problem.objective(c) == expected
 
     @staticmethod
@@ -490,7 +519,7 @@ class TestTurnMoveValues:
             turns = _grown_turns(rng, n)
         else:
             turns = [rng.randrange(3) for _ in range(n - 1)]
-        pivot = problem.coordinate(bits, turns)
+        pivot = point(bits, turns)
         # the default rule alone hides a first collision one late together
         # with a count one high; steep_penalty weighs the two apart
         with pytest.MonkeyPatch.context() as mp:
@@ -506,9 +535,9 @@ class TestTurnMoveValues:
         bits = tuple(rng.randrange(2) for _ in range(16))
         problem = make_problem("A", coord_b=bits, energy_target=0)
         other = make_problem("A", coord_b=(1,) * 16, energy_target=0)
-        first = problem.coordinate(bits, _grown_turns(rng, 16))
+        first = point(bits, _grown_turns(rng, 16))
         earlier = problem.admissible_neighbors(first)
-        foreign = other.admissible_neighbors(other.coordinate((1,) * 16, _grown_turns(rng, 16)))
+        foreign = other.admissible_neighbors(point((1,) * 16, _grown_turns(rng, 16)))
         later = problem.admissible_neighbors(earlier[3])
         self._assert_table_holds(problem, later)
         # the earlier pivot's moves, outside the new table, in any order; the
@@ -516,26 +545,26 @@ class TestTurnMoveValues:
         assert first in later
         self._assert_exact(problem, earlier[::-1] + later + earlier)
         # equal digits are not the same candidate: a copy reads the record
-        copies = [problem.coordinate(c.digits[:16], c.digits[16:]) for c in later]
+        copies = [c[:16] + c[16:] for c in later]
         assert all(id(c) not in problem._turn_moves[1] for c in copies)
         self._assert_exact(problem, copies)
         self._assert_exact(other, foreign)
         # another problem's coordinates, valued by this one, read the record
         for c in foreign:
-            assert problem.objective(c) == objective_value(c.digits[:16], c.digits[16:])
+            assert problem.objective(c) == objective_value(c[:16], c[16:])
 
     def test_chain_past_the_memory_bound_reads_the_record(self):
         # a straight 130-bead chain reaches 129 cells from bead 0: its boards
         # would take about 2 * 132 * 259 * 130 bytes, past the 8 MiB bound
         bits = tuple(random.Random(5).randrange(2) for _ in range(130))
         problem = make_problem("A", coord_b=bits, energy_target=0)
-        pivot = problem.coordinate(bits, (2,) * 129)
+        pivot = point(bits, (2,) * 129)
         candidates = problem.admissible_neighbors(pivot)
         assert problem._turn_moves == (None, {})
         self._assert_exact(problem, candidates)
         # folded into a 10-wide serpentine the same chain fits, and stays exact
         serpentine = ([2] * 9 + [1, 1] + [2] * 8 + [0, 0]) * 7
-        pivot = problem.coordinate(bits, serpentine[:129])
+        pivot = point(bits, serpentine[:129])
         candidates = problem.admissible_neighbors(pivot)
         self._assert_table_holds(problem, candidates)
         self._assert_exact(problem, candidates)

@@ -566,3 +566,9 @@ class TestReportSerialization:
     def test_parse_rejects_repeated_keys(self, line):
         with pytest.raises(ValueError, match="repeated"):
             parse_report(f"evaluations = 6\nmin-value = -4\ncount[-4] = 6\n{line}\n")
+
+    # not digits at all; a turn text that is not one digit shorter than the colours
+    @pytest.mark.parametrize("pair", ["xx yy", "1001 2"])
+    def test_parse_rejects_argmin_that_is_not_colour_and_turn_digits(self, pair):
+        with pytest.raises(ValueError, match="segments must be"):
+            parse_report(f"evaluations = 6\nmin-value = -4\ncount[-4] = 6\nargmin = {pair}\n")
