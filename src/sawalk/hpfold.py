@@ -16,12 +16,15 @@ One fold record (``_fold_analysis``) decodes folds and lists their contacts
 for every caller but the exhaustive oracle, whose depth-first scan places a
 turn prefix once for all its extensions and is tested against this record.
 It is memoized for the walks that revisit folds.  Plan A, whose every move
-changes one turn, decodes each pivot without the cache, since every pivot
-is a new fold, and values its turn moves from lattice bitboards of that
-pivot (``_PivotBoards``): each move rotates the chain's tail rigidly about
-one bead, so its collisions and new contacts are a few big-int operations
-against the pivot's head.  The moves are found by their candidate's
-identity, in a table built next to the candidate list.
+changes one turn, keeps its pivots out of the record, since every pivot is
+a new fold, and values its turn moves from lattice bitboards of that pivot
+(``_PivotBoards``): each move rotates the chain's tail rigidly about one
+bead, so its collisions and new contacts are a few big-int operations
+against the pivot's head.  The next pivot is one of those moves, so its
+boards are derived from the last pivot's and the move; only the first
+pivot, a restart, and a move that leaves the last pivot's layout are built
+from their turns.  The moves are found by their candidate's identity, in a
+table built next to the candidate list.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import add, and_, or_
 from typing import Callable, Optional, Sequence, Union
 
@@ -106,8 +109,8 @@ def _trace(turns: Sequence[int]) -> list[int]:
 # 1 << 16 entries hold all 3**9 = 19,683 folds of a 10-bead chain, which a
 # serial n=10 campaign revisits run after run; 4096 entries would still serve
 # an n=20 colour walk but drop that campaign from 98% to 87% hits.  A plan A
-# walk decodes its pivots with __wrapped__ and values their turn moves from
-# bitboards (_PivotBoards), so only its random draws enter the cache.
+# walk places its pivots on bitboards (_PivotBoards) without the record and
+# values their turn moves there, so only its random draws enter the cache.
 @lru_cache(maxsize=1 << 16)
 def _fold_analysis(turns: tuple[int, ...]) -> tuple[Optional[int], int, tuple[tuple[int, int], ...]]:
     """The one fold record: (first collision, collision count, contact pairs).
@@ -162,17 +165,19 @@ _MOVE_ROTATIONS = tuple(
     for d in range(3)
 )
 
-# Bitboard layout.  Bead 0 sits at the origin and m >= 1 is the pivot's
-# largest |x| or |y|, so the pivot and its rotations about the origin lie in
-# [-m, m]^2.  Move (k, r) keeps the tail rotated by r about the origin and
-# places the head against it, shifted by R P_k - P_k, whose coordinates lie
-# in [-2m, 2m]; the placed head lies in [-3m, 3m]^2.  Cell (x, y) is bit
+# Bitboard layout.  Bead 0 sits at the origin and m >= 1 bounds the pivot's
+# |x| and |y|, so the pivot and its rotations about the origin lie in the
+# square [-m, m]^2.  Move (k, r) keeps the tail rotated by r about the origin
+# and places the head against it, shifted by R P_k - P_k, whose coordinates
+# lie in [-2m, 2m]; the placed head lies in [-3m, 3m]^2.  Cell (x, y) is bit
 # origin + x + stride * y, with stride 4m + 2 and origin (m + 1)(stride + 1):
 # - a tail cell and a placed head cell, or its lattice neighbour, differ in x
 #   by at most 4m + 1 < stride, so equal bit indices mean equal cells, and
 #   a head cell past the end of its row cannot pose as a tail cell;
 # - the cells of [-m - 1, m + 1]^2 have indices >= 0, so the head cells that
 #   a right shift drops below bit 0 can neither meet nor touch the tail.
+# A pivot built from its turns takes m from its own extent; one derived from
+# the move that made it keeps its parent's m, which still bounds it.
 #
 # Memory: each of the 4(n + 1) prefix ints and 4 H-cell ints (four
 # rotations) has bits below stride * (2m + 2), so the boards take about
@@ -182,50 +187,63 @@ _MOVE_ROTATIONS = tuple(
 _BOARD_BYTES = 1 << 23
 
 
+def _shifted(cells: int, shift: int) -> int:
+    return cells << shift if shift >= 0 else cells >> -shift
+
+
 class _PivotBoards:
     """A feasible plan A pivot as lattice bitboards, for valuing its turn moves.
 
-    ``cells[r][j]`` is the OR of the cells of beads 0..j-1 with the fold
-    rotated r quarter turns clockwise about the origin, and ``h_cells[r]``
-    that of all its H beads.  Move (k, r) meets the rotated tail
-    ``cells[r][n] ^ cells[r][k + 1]`` with the head ``cells[0][k + 1]``,
-    shifted by bead k's offset between the two placements.  Collisions are
-    their common cells, and the H-H contacts across bead k are four shifted
-    ANDs of their H cells: a feasible value takes a fixed number of big-int
-    operations, a penalty a binary search for the first collision more.
-    Both equal the fold record's.
+    ``placements[r][j]`` is bead j's cell with the fold rotated r quarter
+    turns clockwise about the origin, ``cells[r][j]`` the OR of the cells of
+    beads 0..j-1, and ``h_cells[r]`` that of all its H beads; ``square``
+    holds the cells of the layout's [-m, m]^2.  Move (k, r) meets the
+    rotated tail ``cells[r][n] ^ cells[r][k + 1]`` with the head
+    ``cells[0][k + 1]``, shifted by bead k's offset between the two
+    placements.  Collisions are their common cells, and the H-H contacts
+    across bead k are four shifted ANDs of their H cells: a feasible value
+    takes a fixed number of big-int operations, a penalty a binary search
+    for the first collision more.  Both equal the fold record's.
+
+    The boards come from one of two sources.  ``_pivot_boards`` builds them
+    from a pivot's turns.  ``moved`` derives those of the pivot that a move
+    makes from the boards of the pivot it moved, in the same layout: the
+    head's cells are kept and the tail's are the old ones, rotated and
+    shifted.  It gives none when the moved tail meets the head (the new
+    pivot collides) or leaves the layout's square; the walk then builds the
+    new pivot's boards from its turns.
     """
 
-    __slots__ = ("stride", "placements", "cells", "h_cells", "base")
+    __slots__ = ("stride", "square", "placements", "cells", "h_cells", "base")
 
     def __init__(
-        self, bits: Sequence[int], headings: list[int], m: int, pairs: Sequence[tuple[int, int]]
+        self,
+        bits: Sequence[int],
+        stride: int,
+        square: int,
+        placements: list[list[int]],
+        cells: list[list[int]],
+        h_cells: list[int],
     ):
-        n = len(bits)
-        stride = self.stride = 4 * m + 2
-        origin = (m + 1) * (stride + 1)
-        # rotating the fold r quarter turns clockwise adds r to every heading
-        steps = (stride, 1, -stride, -1)  # up, right, down, left
-        self.placements = [
-            list(accumulate(map(((steps[r:] + steps[:r]) * n).__getitem__, headings), initial=origin))
-            for r in range(4)
-        ]
-        self.cells = [
-            list(accumulate(map((1).__lshift__, cells), or_, initial=0))
-            for cells in self.placements
-        ]
-        self.h_cells = [
-            sum(map((1).__lshift__, compress(cells, bits))) for cells in self.placements
-        ]
+        self.stride = stride
+        self.square = square
+        self.placements = placements
+        self.cells = cells
+        self.h_cells = h_cells
         # base[k]: move k's value before its H-H contacts across bead k are
         # counted: the pivot's other H-H contacts, negated, plus the bond
-        # (k, k+1), which the shifted ANDs count when both beads are H
+        # (k, k+1), which the shifted ANDs count when both beads are H.  Each
+        # H-H contact is seen once, from its lower or its left bead.
+        n = len(bits)
+        h_beads = dict(zip(compress(placements[0], bits), compress(range(n), bits)))
+        get = h_beads.get
         across = [0] * n
-        for i, j in pairs:
-            if bits[i] and bits[j]:
-                across[0] -= 1
-                across[i] += 1
-                across[j] -= 1
+        for p, i in h_beads.items():
+            for j in (get(p + 1), get(p + stride)):
+                if j is not None and not -1 <= j - i <= 1:
+                    across[0] -= 1
+                    across[min(i, j)] += 1
+                    across[max(i, j)] -= 1
         self.base = list(map(add, accumulate(across), map(and_, bits, bits[1:])))
 
     def value(self, k: int, r: int) -> int:
@@ -258,11 +276,42 @@ class _PivotBoards:
             + ((h_head >> w) & h_tail).bit_count()
         )
 
+    def moved(self, bits: Sequence[int], k: int, r: int) -> Optional[_PivotBoards]:
+        """Boards of the fold that move (k, r) makes, in this layout, or None.
 
-def _pivot_boards(
-    bits: Sequence[int], turns: Sequence[int], pairs: Sequence[tuple[int, int]]
-) -> Optional[_PivotBoards]:
-    """Boards of a feasible pivot, or None past the _BOARD_BYTES bound."""
+        In rotation s the new fold's head is this fold's, and its tail is
+        this fold's in rotation t = s + r, shifted so that bead k lands on
+        its cell in rotation s.  None if that tail meets the head or leaves
+        the square; the rotations of a fold inside the square stay inside,
+        so rotation 0 alone is tested.
+        """
+        placements, cells, h_cells = self.placements, self.cells, self.h_cells
+        n = len(bits)
+        moved_placements, moved_cells, moved_h_cells = [], [], []
+        for s in range(4):
+            t = (s + r) & 3
+            shift = placements[s][k] - placements[t][k]
+            tail = list(map(shift.__add__, islice(placements[t], k + 1, None)))
+            # a tail cell below bit 0 lies outside the square, and the shift
+            # would drop it: range-check the placements before shifting
+            if not s and min(tail) < 0:
+                return None
+            head = cells[s][k + 1]
+            tail_cells = _shifted(cells[t][n] ^ cells[t][k + 1], shift)
+            if not s and (tail_cells & ~self.square or tail_cells & head):
+                return None
+            placed = placements[s][: k + 1]
+            placed += tail
+            moved_placements.append(placed)
+            prefix = cells[s][: k + 1]
+            prefix += accumulate(map((1).__lshift__, tail), or_, initial=head)
+            moved_cells.append(prefix)
+            moved_h_cells.append((h_cells[s] & head) | (_shifted(h_cells[t], shift) & tail_cells))
+        return _PivotBoards(bits, self.stride, self.square, moved_placements, moved_cells, moved_h_cells)
+
+
+def _pivot_boards(bits: Sequence[int], turns: Sequence[int]) -> Optional[_PivotBoards]:
+    """Boards of a pivot built from its turns; None if it collides or is past _BOARD_BYTES."""
     n = len(bits)
     # heading of step j, unreduced: step j goes _STEP[headings[j] & 3]
     headings = list(accumulate(map(_QUARTERS.__getitem__, turns)))
@@ -271,7 +320,21 @@ def _pivot_boards(
     m = max(max(xs), -min(xs), max(ys), -min(ys))
     if 2 * (n + 2) * (2 * m + 1) * (m + 1) > _BOARD_BYTES:
         return None
-    return _PivotBoards(bits, headings, m, pairs)
+    stride = 4 * m + 2
+    origin = (m + 1) * (stride + 1)
+    # rotating the fold r quarter turns clockwise adds r to every heading
+    steps = (stride, 1, -stride, -1)  # up, right, down, left
+    placements = [
+        list(accumulate(map(((steps[r:] + steps[:r]) * n).__getitem__, headings), initial=origin))
+        for r in range(4)
+    ]
+    cells = [list(accumulate(map((1).__lshift__, placed), or_, initial=0)) for placed in placements]
+    if cells[0][n].bit_count() < n:
+        return None  # two beads share a cell
+    h_cells = [sum(map((1).__lshift__, compress(placed, bits))) for placed in placements]
+    row = ((1 << (2 * m + 1)) - 1) << (origin - m * (stride + 1))  # the cells (-m..m, -m)
+    square = sum(row << (stride * y) for y in range(2 * m + 1))
+    return _PivotBoards(bits, stride, square, placements, cells, h_cells)
 
 
 def _turn_digits(ternary: Digits) -> tuple[int, ...]:
@@ -432,10 +495,15 @@ class HPProblem:
                     append(tuple(scratch))
                 scratch[i] = d
         if self.plan == "A":
-            # every pivot is a new fold: decode it without filling the cache
+            # a pivot that one of the last pivot's moves made derives its
+            # boards from that pivot's; the first pivot, a restart, and a
+            # move that leaves the old layout build them from the turns
             bits, turns = digits[:n], digits[n:]
-            _, collisions, pairs = _fold_analysis.__wrapped__(turns)
-            boards = None if collisions else _pivot_boards(bits, turns, pairs)
+            boards, moves = self._turn_moves
+            move = moves.get(id(digits))
+            boards = boards.moved(bits, move[1], move[2]) if move is not None and move[0] is digits else None
+            if boards is None:
+                boards = _pivot_boards(bits, turns)
             moves = {}  # stays empty for a colliding pivot or one past the bound
             if boards is not None:
                 turned = [(k, r) for k, d in enumerate(turns) for r in _MOVE_ROTATIONS[d]]

@@ -191,9 +191,21 @@ def degree(coord: Coordinate) -> int:
 
 
 def permuted_indices(count: int, rng: random.Random) -> list[int]:
-    """A uniform random permutation of range(count), Fisher-Yates via the stream."""
+    """A uniform random permutation of range(count), Fisher-Yates via the stream.
+
+    The same order, and the same ``rng`` state after it, as
+    ``rng.shuffle`` of ``list(range(count))``: each swap index is drawn as
+    ``Random._randbelow`` draws it, ``getrandbits`` of the bound's bit
+    length, redrawn while out of range.
+    """
     order = list(range(count))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for i in range(count - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return order
 
 

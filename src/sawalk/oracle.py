@@ -324,13 +324,15 @@ def parse_report(text: str) -> OracleReport:
     A ``count-at-or-below[t] = c`` line is checked against the histogram
     and rejected when they disagree.  So is text without its ``evaluations``
     or ``min-value`` line, with a key or ``argmin`` line given twice or an
-    ``argmin`` pair that is not colour and turn digits, with a count below
-    1, with count lines that do not sum to ``evaluations``, or with a
-    ``min-value`` other than the least value counted.
+    ``argmin`` pair that is not colour and turn digits or whose lengths are
+    not the first pair's, with a count below 1, with count lines that do not
+    sum to ``evaluations``, or with a ``min-value`` other than the least
+    value counted.
     """
     evaluations = min_value = None
     histogram: dict[int, int] = {}
     argmin: set[tuple[str, str]] = set()
+    beads = None  # the first argmin pair's chain length, which every pair must share
     threshold_counts: list[tuple[int, int]] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -347,7 +349,9 @@ def parse_report(text: str) -> OracleReport:
             threshold_counts.append((int(key[18:-1]), int(value)))
         elif key == "argmin" and tuple(value.split()) not in argmin:
             colors, turns = value.split()
-            _check_segments(colors, turns, len(colors))
+            if beads is None:
+                beads = len(colors)
+            _check_segments(colors, turns, beads)
             argmin.add((colors, turns))
         else:
             raise ValueError(f"unrecognized or repeated report line: {raw!r}")

@@ -530,6 +530,69 @@ class TestTurnMoveValues:
                 self._assert_table_holds(problem, candidates)
             self._assert_exact(problem, candidates)
 
+    @classmethod
+    def _walk_moves(cls, problem, pivot, rng, steps):
+        """Move from a feasible pivot to a random feasible move of it, again
+        and again, checking every pivot's table and values on the way."""
+        n = problem.n
+        for _ in range(steps):
+            candidates = problem.admissible_neighbors(pivot)
+            cls._assert_table_holds(problem, candidates)
+            cls._assert_exact(problem, candidates)
+            # the move back to the last pivot keeps the list from being empty
+            pivot = rng.choice([c for c in candidates if objective_value(c[:n], c[n:]) <= 0])
+
+    @pytest.mark.parametrize("bits", ["1" * 18, "0" * 18, "101100101001101011", "000110110001001111"])
+    def test_chain_of_moved_pivots(self, bits):
+        # each pivot is a move of the last, so its boards come from the last
+        # pivot's, which came from the pivot before, 250 times over
+        rng = random.Random(bits)
+        bits = as_digits(bits)
+        problem = make_problem("A", coord_b=bits, energy_target=0)
+        turns = _grown_turns(rng, 18)
+        while not decode_fold(turns).feasible:
+            turns = _grown_turns(rng, 18)
+        self._walk_moves(problem, point(bits, turns), rng, 250)
+
+    # bead 0 ringed by the other seven beads, all inside [-1, 1]^2
+    RING = (1, 0, 0, 2, 0, 2, 0)
+
+    def test_move_out_of_the_square_rebuilds_the_boards(self):
+        bits = (1,) * 8
+        problem = make_problem("A", coord_b=bits, energy_target=0)
+        candidates = problem.admissible_neighbors(point(bits, self.RING))
+        assert problem._turn_moves[0].stride == 6  # the layout of m = 1
+        # turning right instead of straight at bead 3 swings beads 4..7 up to
+        # (0, 2), (-1, 2), (-2, 2) and (-2, 1), out of the square
+        stretched = candidates[4]
+        assert stretched == point(bits, (1, 0, 0, 1, 0, 2, 0))
+        candidates = problem.admissible_neighbors(stretched)
+        # boards derived in the old layout would misplace the moved tail
+        assert problem._turn_moves[0].stride == 10  # built again, for m = 2
+        self._assert_table_holds(problem, candidates)
+        self._assert_exact(problem, candidates)
+        # the first move turns the whole fold about bead 0, so it is feasible
+        self._walk_moves(problem, candidates[0], random.Random(8), 40)
+
+    def test_move_into_a_collision_and_back(self):
+        bits = (1, 0, 1, 1, 0, 1, 0, 1)
+        problem = make_problem("A", coord_b=bits, energy_target=0)
+        # a U: beads 0..3 up the column x = 0, beads 4..7 down x = 1
+        u_fold = point(bits, (2, 2, 2, 1, 1, 2, 2))
+        candidates = problem.admissible_neighbors(u_fold)
+        # turning right at bead 2 swings bead 5 onto bead 1
+        colliding = candidates[2]
+        assert colliding == point(bits, (2, 2, 1, 1, 1, 2, 2))
+        assert decode_fold(colliding[8:]).first_collision_index == 5
+        candidates = problem.admissible_neighbors(colliding)
+        # a colliding pivot has no boards, and its moves read the record
+        assert problem._turn_moves == (None, {})
+        self._assert_exact(problem, candidates)
+        # the move back is a new pivot, built from its turns, and the walk
+        # goes on deriving boards from there
+        back = candidates[candidates.index(u_fold)]
+        self._walk_moves(problem, back, random.Random(9), 40)
+
     def test_stale_table_and_other_problem(self):
         rng = random.Random(11)
         bits = tuple(rng.randrange(2) for _ in range(16))
@@ -582,8 +645,9 @@ class TestTurnMoveValues:
         assert run_search(SearchConfig(seed=3, probe_limit=3000), restored) == result
 
     def test_walk_leaves_only_its_draws_in_the_fold_cache(self):
-        # every pivot is a new fold, decoded past the cache; only the initial
-        # draw and each restart's draw are valued from the cached record
+        # every pivot is a new fold, placed on bitboards without the record;
+        # only the initial draw and each restart's draw are valued from the
+        # cached record
         problem = load_instances(LITERATURE)[0]
         _fold_analysis.cache_clear()
         result = run_search(SearchConfig(seed=2), problem)

@@ -148,6 +148,16 @@ class TestPermutedIndices:
         hits = sum(permuted_indices(2, random.Random(seed))[0] for seed in range(4000))
         assert 0.45 < hits / 4000 < 0.55
 
+    def test_draws_as_shuffle_draws(self):
+        # the walk's fingerprints depend on the exact draws and the state after them
+        ours, theirs = random.Random(2024), random.Random(2024)
+        for count in range(60):
+            for _ in range(300):
+                expected = list(range(count))
+                theirs.shuffle(expected)
+                assert permuted_indices(count, ours) == expected
+                assert ours.getstate() == theirs.getstate()
+
 
 class TestRandomCoordinate:
     def test_forced_weights(self):

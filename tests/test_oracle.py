@@ -572,3 +572,8 @@ class TestReportSerialization:
     def test_parse_rejects_argmin_that_is_not_colour_and_turn_digits(self, pair):
         with pytest.raises(ValueError, match="segments must be"):
             parse_report(f"evaluations = 6\nmin-value = -4\ncount[-4] = 6\nargmin = {pair}\n")
+
+    # each pair is well formed on its own, but the two are chains of different lengths
+    def test_parse_rejects_argmin_pairs_of_different_lengths(self):
+        with pytest.raises(ValueError, match="segments must be 4 digits"):
+            parse_report("evaluations = 6\nmin-value = -4\ncount[-4] = 6\nargmin = 1001 222\nargmin = 10 2\n")
