@@ -7,6 +7,7 @@ Subcommands: solve (one run), experiment (seeded campaign), oracle
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  every command's parser reads gettext, which imports it
 import sys
 from pathlib import Path
 

@@ -5,7 +5,9 @@ run (the engine's result tuple plus probes-per-step), and aggregates
 order-statistics, unique-solution and beyond-target counts.  Campaigns are
 shardable: any split of the run indices produces row lists that concatenate
 and aggregate to exactly the single-shot result, and per-run seeds depend
-only on (base seed, run index).
+only on (base seed, run index).  Only a campaign that fans out to worker
+processes imports the process pool, and only the statistics and the JSON
+file import ``statistics`` and ``json``, so a single run loads none of them.
 
 CSV columns, in order:
     seed, coordB, coordT, value, cntProbe, walkLength, probesPerStep, isCensored
@@ -14,10 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
@@ -60,6 +59,8 @@ class MetricStats:
 
 def stats(sample: Sequence[float]) -> MetricStats:
     """Median (midpoint-interpolated), mean, sample stdev, min and max."""
+    import statistics
+
     if not sample:
         raise ValueError("stats need a non-empty sample")
     return MetricStats(
@@ -159,6 +160,8 @@ def run_rows(config: ExperimentConfig, indices: Optional[Iterable[int]] = None) 
     indices = list(indices)
     if config.parallelism <= 1 or len(indices) <= 1:
         return [run_one(config, i) for i in indices]
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(config.parallelism, len(indices), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(indices) // (workers * 8))
@@ -253,6 +256,8 @@ def parse_rows_csv(text: str) -> list[RunRow]:
 
 
 def experiment_json(summary: ExperimentStats, rows: Sequence[RunRow]) -> str:
+    import json
+
     payload = {
         "stats": {
             "sampleSize": summary.sample_size,

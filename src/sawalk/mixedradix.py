@@ -273,8 +273,12 @@ def hasse_dot(spec: RadixSpec, enumeration_cap: int = 10**6) -> str:
 
     Vertices within a layer are ordered lexicographically by their text form
     (the layering is structural, the within-layer order cosmetic).  Each
-    undirected edge appears once.
+    undirected edge appears once.  Vertex names are the coordinates' text
+    form, so a base above 36 is refused.
     """
+    top = max(base for base, _ in spec.segments)
+    if top > len(_DIGIT_CHARS):
+        raise ValueError(f"DOT text supports bases up to {len(_DIGIT_CHARS)}, got {top}")
     if spec.size > enumeration_cap:
         raise SpaceTooLargeError(spec.size, enumeration_cap)
     origin = Coordinate(spec, (0,) * spec.digit_count)

@@ -15,14 +15,13 @@ and never placed.  A scan of classes [lo, hi) places them depth first, in
 itertools.product order (rightmost digit fastest), and scores each fold on
 every colouring.  With W workers, worker w scans classes
 [C*w/W, C*(w+1)/W) and the reports merge associatively with
-``merge_reports``; small domains are scanned in this process.  A scan's
-cost follows its class count, not its (colours, turns) pair count, so the
-domain cap counts classes.
+``merge_reports``; small domains are scanned in this process, which then
+never imports the process pool.  A scan's cost follows its class count,
+not its (colours, turns) pair count, so the domain cap counts classes.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -37,7 +36,8 @@ DEFAULT_DOMAIN_CAP = 10**7
 # Fewest classes worth a worker process.  A class scans in about 2.4 us
 # (2-core x86-64 box, Python 3.11); there plan C n=12 w=5, 14,762 classes a
 # worker, ran about as fast in 2 processes as in one (75-100 ms), and n=13
-# w=6, 44,287, ran faster (0.17-0.19 s against 0.24-0.26 s).
+# w=6, 44,287, ran faster (0.17-0.19 s against 0.24-0.26 s).  A scan below
+# it also skips importing the pool, 20-30 ms of start-up.
 MIN_CLASSES_PER_WORKER = 3**9
 # Most colour digits, colourings x n, a scan holds.  _colorings keeps each
 # colouring as n-digit text, 85 B with its list slot at n=28, so this cap,
@@ -299,6 +299,8 @@ def enumerate_optimum(
         raise SpaceTooLargeError(digits, MAX_COLOR_DIGITS, "colour digits")
     if workers == 1 or classes // workers < MIN_CLASSES_PER_WORKER:
         return _scan(problem, 0, classes)
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = [classes * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_scan, problem, lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -1,11 +1,38 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sawalk import cli, harness, oracle
+import sawalk
+from sawalk import cli, oracle
 from sawalk.cli import main
 from sawalk.harness import parse_rows_csv
 from sawalk.oracle import parse_report
+
+
+def test_import_loads_no_pool_statistics_or_json():
+    """Only the commands that use them load the process pool, statistics
+    and json; importing the CLI loads none of them."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sawalk, sawalk.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(sawalk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert set(loaded) & {"multiprocessing", "concurrent.futures", "statistics", "json"} == set()
 
 
 class TestSolve:
@@ -96,7 +123,7 @@ class TestExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(SystemExit) as exc:
             main(
                 "experiment --plan B --coord-t 211011011 --weight 4 --target -4 "
@@ -244,6 +271,10 @@ class TestHasse:
         out = tmp_path / "g.dot"
         main(f"hasse --spec 2^1.3^1 --dot --out {out}".split())
         assert out.read_text().startswith("graph hasse {")
+
+    def test_dot_base_above_36_is_one_line(self):
+        with pytest.raises(SystemExit, match="DOT text supports bases up to 36, got 40"):
+            main("hasse --spec 40^1 --dot".split())
 
 
 class TestRender:

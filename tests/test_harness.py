@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -132,7 +133,7 @@ class TestCampaign:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         config = ExperimentConfig(plan_c(-3), sample_size=runs, base_seed=5, parallelism=parallelism)
         rows = run_rows(config)

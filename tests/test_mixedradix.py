@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from sawalk import mixedradix
 from sawalk.mixedradix import (
     Coordinate,
     HasseStats,
@@ -231,6 +232,14 @@ class TestHasse:
         # layered: the origin sits alone in the first rank group
         assert '{ rank=same; "0.0"; }' in text
         assert text.count("--") == hasse_stats(RadixSpec(((2, 1), (3, 1)))).edge_count
+
+    def test_dot_refuses_base_above_36_before_enumerating(self, monkeypatch):
+        def no_enumeration(spec):
+            raise AssertionError("the space was enumerated")
+
+        monkeypatch.setattr(mixedradix, "iter_space", no_enumeration)
+        with pytest.raises(ValueError, match="DOT text supports bases up to 36, got 40"):
+            hasse_dot(RadixSpec(((2, 1), (40, 1))))
 
 
 SMALL_SPECS = [

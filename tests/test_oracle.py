@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 from concurrent.futures import Future
 from itertools import combinations, product
@@ -71,7 +72,7 @@ def inline_pools(monkeypatch, pool_at_any_size):
         pools.append(InlinePool(max_workers))
         return pools[-1]
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", inline_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
     return pools
 
 
@@ -328,7 +329,7 @@ class TestShardingAndCheckpoints:
         def no_pool(max_workers):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         problem = make_problem("C", n=10, weight_target=4, energy_target=-4)
         assert enumerate_optimum(problem, workers=2) == enumerate_optimum(problem)
 
