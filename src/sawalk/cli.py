@@ -53,6 +53,13 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
 
 def _problem_from_args(args: argparse.Namespace):
     if args.instance:
+        given = [
+            "--" + name.replace("_", "-")
+            for name in ("plan", "length", "weight", "target", "coord_b", "coord_t", "weight_cap")
+            if getattr(args, name) is not None
+        ]
+        if given:
+            raise SystemExit(f"--instance holds the whole problem; drop {', '.join(given)}")
         problems = load_instances(args.instance)
         if not 0 <= args.index < len(problems):
             raise SystemExit(f"instance file has {len(problems)} records, no index {args.index}")
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help=PROBE_LIMIT_HELP)
     experiment.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
     experiment.add_argument("--parallelism", type=int, default=1, help="worker processes, at most one per CPU and one per run (ignored with --improve)")
-    experiment.add_argument("--improve", action="store_true", help="ratchet a shared bound across runs, starting at --target")
+    experiment.add_argument("--improve", action="store_true", help="lower the problem's energy target to each run that beats it")
     experiment.add_argument("--out", help="write result rows to this file")
     experiment.add_argument("--format", choices=["csv", "json"], default="csv")
     experiment.set_defaults(func=_cmd_experiment)

@@ -43,7 +43,7 @@ class SearchProblem(Protocol):
 
     def admissible_neighbors(self, digits: tuple[int, ...]) -> list[tuple[int, ...]]: ...
 
-    def is_solution(self, digits: tuple[int, ...], value: float, target: Optional[float] = None) -> bool: ...
+    def is_solution(self, digits: tuple[int, ...], value: float) -> bool: ...
 
     def random_coordinate(self, rng: random.Random) -> tuple[int, ...]: ...
 
@@ -66,9 +66,8 @@ class FunctionProblem:
     def admissible_neighbors(self, digits: tuple[int, ...]) -> list[tuple[int, ...]]:
         return [c.digits for c in neighbors(Coordinate(self.spec, digits))]
 
-    def is_solution(self, digits: tuple[int, ...], value: float, target: Optional[float] = None) -> bool:
-        bound = self.target if target is None else target
-        return value <= bound
+    def is_solution(self, digits: tuple[int, ...], value: float) -> bool:
+        return value <= self.target
 
     def random_coordinate(self, rng: random.Random) -> tuple[int, ...]:
         return random_coordinate(self.spec, rng).digits
@@ -77,11 +76,10 @@ class FunctionProblem:
 class VisitedBuffer:
     """Insertion-ordered set of pivots with FIFO eviction past capacity.
 
-    Pivots are keyed by themselves: the walk's digit tuples hash in C, and a
-    ``Coordinate`` hashes like its digits.  Membership is exact for everything
-    retained; once the buffer overflows, the oldest pivots are forgotten
-    first and may be walked again later.  Adding a retained pivot again does
-    not refresh its age.
+    Pivots are keyed by themselves: the walk's digit tuples hash in C.
+    Membership is exact for everything retained; once the buffer overflows,
+    the oldest pivots are forgotten first and may be walked again later.
+    Adding a retained pivot again does not refresh its age.
     """
 
     def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
@@ -114,6 +112,9 @@ class SearchConfig:
     buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            # random.Random(-s) draws what Random(s) draws
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.probe_limit < 1:
             raise ValueError("probe limit must be at least 1")
         if self.buffer_capacity < 1:
@@ -146,10 +147,9 @@ class SearchResult:
 def run_search(
     config: SearchConfig,
     problem: SearchProblem,
-    target: Optional[float] = None,
     observer: Optional[Callable[[str, Coordinate, float], None]] = None,
 ) -> SearchResult:
-    """Execute one walk until the stop test passes or the probe budget ends.
+    """Execute one walk until the problem's stop test passes or the probe budget ends.
 
     The walk is one loop over these rules:
 
@@ -167,9 +167,7 @@ def run_search(
       segment still avoids every retained pivot.  A restart counts as a step.
     - Every new pivot enters the FIFO buffer of visited pivots.
 
-    The stop test holds the problem's own target unless ``target`` replaces
-    it, which lets a sequence of runs ratchet a shared bound downward.  A
-    solved run reports the pivot that passed the stop test; a censored run
+    A solved run reports the pivot that passed the stop test; a censored run
     reports the last pivot with the lowest value.  ``observer(event, coord,
     value)``, when given, sees the initial pivot as ``"init"`` and each new
     pivot as ``"step"`` or ``"restart"``, as a ``Coordinate`` built for it.
@@ -189,7 +187,7 @@ def run_search(
     if observer is not None:
         observer("init", Coordinate._unchecked(problem.spec, pivot), value)
     best, best_value = pivot, value
-    solved = problem.is_solution(pivot, value, target)
+    solved = problem.is_solution(pivot, value)
     while not solved and probe_count < config.probe_limit:
         # a trapped pivot still draws its permutation: the stream must not shift
         candidates = problem.admissible_neighbors(pivot)
@@ -217,7 +215,7 @@ def run_search(
             observer(event, Coordinate._unchecked(problem.spec, pivot), value)
         if value <= best_value:
             best, best_value = pivot, value
-        solved = problem.is_solution(pivot, value, target)
+        solved = problem.is_solution(pivot, value)
 
     if solved:
         # only the stop-test pivot is sure to meet the weight constraint

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
@@ -143,14 +143,14 @@ class ExperimentStats:
     probes_per_step: Optional[MetricStats]  # over runs that took at least one step
 
 
-def run_one(config: ExperimentConfig, index: int, target: Optional[int] = None) -> RunRow:
-    """Execute run ``index`` of the campaign; ``target`` replaces the problem's."""
+def run_one(config: ExperimentConfig, index: int) -> RunRow:
+    """Execute run ``index`` of the campaign."""
     search = SearchConfig(
         seed=derive_seed(config.base_seed, index),
         probe_limit=config.probe_limit,
         buffer_capacity=config.buffer_capacity,
     )
-    return RunRow.from_result(run_search(search, config.problem, target), config.problem.n)
+    return RunRow.from_result(run_search(search, config.problem), config.problem.n)
 
 
 def run_rows(config: ExperimentConfig, indices: Optional[Iterable[int]] = None) -> list[RunRow]:
@@ -199,21 +199,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentStats, list[RunR
 
 
 def improving_campaign(config: ExperimentConfig) -> tuple[int, list[RunRow]]:
-    """Chain runs that ratchet a shared upper bound downward.
+    """Chain runs that ratchet the problem's energy target downward.
 
-    Every run stops at the current bound or better (subject to the weight
-    test); an uncensored run that beats the bound strictly lowers it for
-    the runs that follow.  The bound starts at the problem's energy target.
-    Returns the final bound and all rows.
+    Every run stops at the current target or better (subject to the weight
+    test); an uncensored run that beats the target strictly lowers it for
+    the runs that follow.  Returns the final target and all rows.
     """
-    bound = config.problem.energy_target
     rows: list[RunRow] = []
     for index in range(config.sample_size):
-        row = run_one(config, index, bound)
+        row = run_one(config, index)
         rows.append(row)
-        if not row.is_censored and row.value < bound:
-            bound = row.value
-    return bound, rows
+        if not row.is_censored and row.value < config.problem.energy_target:
+            config = replace(config, problem=replace(config.problem, energy_target=row.value))
+    return config.problem.energy_target, rows
 
 
 def rows_csv(rows: Sequence[RunRow]) -> str:

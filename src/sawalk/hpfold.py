@@ -511,10 +511,9 @@ class HPProblem:
             object.__setattr__(self, "_turn_moves", (boards, moves))
         return result
 
-    def is_solution(self, digits: tuple[int, ...], value: int, target: Optional[int] = None) -> bool:
-        """Stop test: value at or below target and exact target weight."""
-        bound = self.energy_target if target is None else target
-        if value > bound:
+    def is_solution(self, digits: tuple[int, ...], value: int) -> bool:
+        """Stop test: value at or below the energy target and exact target weight."""
+        if value > self.energy_target:
             return False
         if self.plan == "A":
             return True

@@ -14,6 +14,7 @@ import random
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterator
 
 _DIGIT_CHARS = string.digits + string.ascii_lowercase  # text form supports bases up to 36
@@ -109,11 +110,6 @@ class Coordinate:
         for d, base in zip(self.digits, bases):
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {base}")
-
-    def __hash__(self) -> int:
-        # equality still compares specs; hashing just the digits is cheaper
-        # and consistent because equal coordinates share equal digit tuples
-        return hash(self.digits)
 
     @classmethod
     def _unchecked(cls, spec: RadixSpec, digits: tuple[int, ...]) -> "Coordinate":
@@ -224,19 +220,8 @@ def random_coordinate(spec: RadixSpec, rng: random.Random) -> Coordinate:
 
 def iter_space(spec: RadixSpec) -> Iterator[Coordinate]:
     """Yield every coordinate in odometer order (rightmost digit fastest)."""
-    bases = spec.position_bases
-    digits = [0] * len(bases)
-    while True:
-        yield Coordinate._unchecked(spec, tuple(digits))
-        i = len(digits) - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < bases[i]:
-                break
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
+    for digits in product(*map(range, spec.position_bases)):
+        yield Coordinate._unchecked(spec, digits)
 
 
 @dataclass(frozen=True)

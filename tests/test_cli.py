@@ -81,6 +81,21 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve"])
 
+    def test_problem_flags_beside_instance_are_refused(self, monkeypatch):
+        # the record holds the whole problem, so a flag beside it would be ignored
+        def no_run(config, problem):
+            raise AssertionError("the run started with a flag it ignores")
+
+        monkeypatch.setattr(cli, "run_search", no_run)
+        with pytest.raises(SystemExit, match="--instance.*--target") as err:
+            main("solve --instance instances/hp10.instances --index 2 --base-seed 5 --target -3".split())
+        assert "\n" not in str(err.value)
+
+    def test_negative_seed_is_one_line(self):
+        # random.Random(-7) draws what Random(7) draws, so -7 would alias 7
+        with pytest.raises(SystemExit, match="seed must be at least 0, got -7"):
+            main("solve --plan C --length 10 --weight 4 --target -4 --base-seed -7".split())
+
     def test_segment_the_plan_searches_is_refused(self):
         with pytest.raises(SystemExit, match="ternary"):
             main(
@@ -212,6 +227,17 @@ class TestOracle:
             ("1001001001", "200100100"),
             ("1001001001", "211011011"),
         )
+
+    def test_problem_flags_beside_instance_are_refused(self, monkeypatch):
+        def no_scan(problem, domain_cap, workers):
+            raise AssertionError("the scan ran with flags it ignores")
+
+        monkeypatch.setattr(cli, "enumerate_optimum", no_scan)
+        with pytest.raises(SystemExit, match="--plan, --length, --weight"):
+            main(
+                "oracle --instance instances/hp10.instances --index 0 "
+                "--plan C --length 12 --weight 6".split()
+            )
 
     def test_zero_workers_refused(self):
         with pytest.raises(SystemExit, match="workers must be at least 1"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sawalk import engine
@@ -121,6 +123,8 @@ class TestSearchConfig:
             ({"probe_limit": 0}, "probe limit must be at least 1"),
             ({"buffer_capacity": 0}, "buffer capacity must be at least 1"),
             ({"buffer_capacity": -3}, "buffer capacity must be at least 1"),
+            # random.Random(-7) draws what Random(7) draws
+            ({"seed": -7}, "seed must be at least 0, got -7"),
         ],
     )
     def test_limits_below_one_are_refused(self, limits, message):
@@ -334,11 +338,11 @@ class TestRunSearch:
 
     def test_bound_improving_mode(self):
         problem = make_problem("C", n=10, weight_target=4, energy_target=-4)
-        res = run_search(SearchConfig(seed=3), problem, target=0)
+        res = run_search(SearchConfig(seed=3), replace(problem, energy_target=0))
         assert not res.is_censored
         assert res.value <= 0
         assert sum(res.coordinate.digits[:10]) == 4
-        tighter = run_search(SearchConfig(seed=3), problem, target=res.value - 1)
+        tighter = run_search(SearchConfig(seed=3), replace(problem, energy_target=res.value - 1))
         assert tighter.value <= res.value - 1 or tighter.is_censored
 
     def test_observer_contract(self):

@@ -1,5 +1,6 @@
 import pickle
 import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -344,8 +345,8 @@ class TestSolutionTest:
     def test_target_override(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
         c = point("1001001001", "211011011")
-        assert not p.is_solution(c, -4, target=-5)
-        assert p.is_solution(c, -4, target=0)
+        assert not replace(p, energy_target=-5).is_solution(c, -4)
+        assert replace(p, energy_target=0).is_solution(c, -4)
 
 
 class TestSolutionKey:
