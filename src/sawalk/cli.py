@@ -7,7 +7,9 @@ Subcommands: solve (one run), experiment (seeded campaign), oracle
 from __future__ import annotations
 
 import argparse
+import contextlib
 import locale  # noqa: F401  every command's parser reads gettext, which imports it
+import os
 import sys
 from pathlib import Path
 
@@ -48,7 +50,7 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--coord-t", help="fixed ternary turn segment (plan B)")
     parser.add_argument("--weight-cap", type=int, help="admissible weight ceiling (default weight+1)")
     parser.add_argument("--instance", help="read the problem from an instance file")
-    parser.add_argument("--index", type=int, default=0, help="record index within --instance")
+    parser.add_argument("--index", type=int, help="record index within --instance (default 0)")
 
 
 def _problem_from_args(args: argparse.Namespace):
@@ -61,9 +63,12 @@ def _problem_from_args(args: argparse.Namespace):
         if given:
             raise SystemExit(f"--instance holds the whole problem; drop {', '.join(given)}")
         problems = load_instances(args.instance)
-        if not 0 <= args.index < len(problems):
-            raise SystemExit(f"instance file has {len(problems)} records, no index {args.index}")
-        return problems[args.index]
+        index = args.index or 0
+        if not 0 <= index < len(problems):
+            raise SystemExit(f"instance file has {len(problems)} records, no index {index}")
+        return problems[index]
+    if args.index is not None:
+        raise SystemExit("--index needs --instance")
     if not args.plan:
         raise SystemExit("either --instance or --plan is required")
     if args.target is None:
@@ -103,14 +108,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     result = run_search(config, problem)
     row = RunRow.from_result(result, problem.n)
+    if args.out:
+        single = ExperimentConfig(problem, sample_size=1)
+        Path(args.out).write_text(result_text(single, [row], args.format))
     status = "censored" if row.is_censored else "solved"
     print(
         f"{status}: value {row.value} at {row.coord_b}.{row.coord_t} "
         f"(probes {row.cnt_probe}, steps {row.walk_length}, restarts {result.restarts})"
     )
-    if args.out:
-        single = ExperimentConfig(problem, sample_size=1)
-        Path(args.out).write_text(result_text(single, [row], args.format))
     return 1 if row.is_censored else 0
 
 
@@ -128,11 +133,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.improve:
         bound, rows = improving_campaign(config)
         summary = aggregate(config, rows)
-        print(f"final bound {bound} after {len(rows)} runs")
     else:
         summary, rows = run_experiment(config)
     if args.out:
         Path(args.out).write_text(result_text(config, rows, args.format))
+    if args.improve:
+        print(f"final bound {bound} after {len(rows)} runs")
     print(f"runs {summary.sample_size}  censored {summary.censored_count}")
     print(f"unique solutions {summary.unique_solutions}  beyond target {summary.beyond_target}")
     for name, metric in (
@@ -183,9 +189,9 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    _write_or_print(ascii_conformation(args.coord_b, args.coord_t), args.out)
     if args.svg:
         Path(args.svg).write_text(svg_conformation(args.coord_b, args.coord_t))
+    _write_or_print(ascii_conformation(args.coord_b, args.coord_t), args.out)
     return 0
 
 
@@ -251,7 +257,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     created = args.out and not Path(args.out).exists()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # a closed stdout (`| head`) is no refused input, and every command
+        # writes its files before it prints; devnull takes the exit flush
+        with contextlib.suppress(OSError):
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return 1
     except BaseException as err:
         if created:  # by _check_writable or a failed write; an existing file stays
             Path(args.out).unlink(missing_ok=True)

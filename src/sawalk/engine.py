@@ -7,8 +7,9 @@ reportable outcome rather than an error.  Every random choice in a run is
 drawn from one seeded stream, so a (seed, config, problem) triple fully
 determines the result.
 
-The walk's points are digit tuples, which the problem's four methods take
-and return; a ``Coordinate`` is built only for ``SearchResult.coordinate``
+The walk's points are hashable digit sequences, which the problem's four
+methods take and return: digit tuples, or bytes where every base fits a byte.
+A ``Coordinate`` of digit tuples is built only for ``SearchResult.coordinate``
 and for each event an ``observer`` sees.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Protocol
+from typing import Callable, Hashable, Optional, Protocol, Sequence
 
 from sawalk.mixedradix import (
     Coordinate,
@@ -32,20 +33,20 @@ DEFAULT_BUFFER_CAPACITY = 2**20
 
 
 class SearchProblem(Protocol):
-    """What the engine needs from a problem: four methods on digit tuples.
+    """What the engine needs from a problem: four methods on hashable digit sequences.
 
     ``run_search`` builds a ``Coordinate`` only for its result and observer.
     """
 
     spec: RadixSpec
 
-    def objective(self, digits: tuple[int, ...]) -> float: ...
+    def objective(self, digits: Sequence[int]) -> float: ...
 
-    def admissible_neighbors(self, digits: tuple[int, ...]) -> list[tuple[int, ...]]: ...
+    def admissible_neighbors(self, digits: Sequence[int]) -> list[Sequence[int]]: ...
 
-    def is_solution(self, digits: tuple[int, ...], value: float) -> bool: ...
+    def is_solution(self, digits: Sequence[int], value: float) -> bool: ...
 
-    def random_coordinate(self, rng: random.Random) -> tuple[int, ...]: ...
+    def random_coordinate(self, rng: random.Random) -> Sequence[int]: ...
 
 
 @dataclass
@@ -53,7 +54,8 @@ class FunctionProblem:
     """Adapter turning a plain objective function into a search problem.
 
     All distance-1 moves are admissible and the stop test is value <= target.
-    ``fn`` sees a ``Coordinate``; the engine-facing methods wrap and unwrap it.
+    ``fn`` sees a ``Coordinate``; the engine-facing methods wrap and unwrap
+    it.  Its points are digit tuples, since its bases may exceed a byte.
     """
 
     spec: RadixSpec
@@ -73,36 +75,29 @@ class FunctionProblem:
         return random_coordinate(self.spec, rng).digits
 
 
-class VisitedBuffer:
+# an OrderedDict evicts its oldest key in O(1); a plain dict's next(iter(d))
+# rescans the slots freed by earlier evictions
+class VisitedBuffer(OrderedDict):
     """Insertion-ordered set of pivots with FIFO eviction past capacity.
 
-    Pivots are keyed by themselves: the walk's digit tuples hash in C.
-    Membership is exact for everything retained; once the buffer overflows,
-    the oldest pivots are forgotten first and may be walked again later.
-    Adding a retained pivot again does not refresh its age.
+    Pivots are the keys, so ``pivot in buffer`` is the dict's own test, in
+    C.  Membership is exact for everything retained; once the buffer
+    overflows, the oldest pivots are forgotten first and may be walked
+    again later.  Adding a retained pivot again does not refresh its age.
     """
 
     def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
+        super().__init__()
         self.capacity = capacity
-        # an OrderedDict evicts its oldest key in O(1); a plain dict's
-        # next(iter(d)) rescans the slots freed by earlier evictions
-        self._entries: OrderedDict[Hashable, None] = OrderedDict()
 
     def add(self, pivot: Hashable) -> None:
-        entries = self._entries
-        if pivot in entries:
-            return
-        entries[pivot] = None
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-    def __contains__(self, pivot: Hashable) -> bool:
-        return pivot in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        # a retained key keeps its place; unlike setdefault, the assignment
+        # does not test membership through a subclass's __contains__
+        self[pivot] = None
+        if len(self) > self.capacity:
+            self.popitem(last=False)
 
 
 @dataclass
@@ -185,7 +180,7 @@ def run_search(
     restarts = 0
     visited.add(pivot)
     if observer is not None:
-        observer("init", Coordinate._unchecked(problem.spec, pivot), value)
+        observer("init", Coordinate._unchecked(problem.spec, tuple(pivot)), value)
     best, best_value = pivot, value
     solved = problem.is_solution(pivot, value)
     while not solved and probe_count < config.probe_limit:
@@ -212,7 +207,7 @@ def run_search(
         walk_length += 1
         visited.add(pivot)
         if observer is not None:
-            observer(event, Coordinate._unchecked(problem.spec, pivot), value)
+            observer(event, Coordinate._unchecked(problem.spec, tuple(pivot)), value)
         if value <= best_value:
             best, best_value = pivot, value
         solved = problem.is_solution(pivot, value)
@@ -222,7 +217,7 @@ def run_search(
         best, best_value = pivot, value
     return SearchResult(
         seed=config.seed,
-        coordinate=Coordinate._unchecked(problem.spec, best),
+        coordinate=Coordinate._unchecked(problem.spec, tuple(best)),
         value=best_value,
         probe_count=probe_count,
         walk_length=walk_length,

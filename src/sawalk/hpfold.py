@@ -111,8 +111,9 @@ def _trace(turns: Sequence[int]) -> list[int]:
 # an n=20 colour walk but drop that campaign from 98% to 87% hits.  A plan A
 # walk places its pivots on bitboards (_PivotBoards) without the record and
 # values their turn moves there, so only its random draws enter the cache.
+# The walk's keys are bytes; other callers' digit tuples are separate entries.
 @lru_cache(maxsize=1 << 16)
-def _fold_analysis(turns: tuple[int, ...]) -> tuple[Optional[int], int, tuple[tuple[int, int], ...]]:
+def _fold_analysis(turns: Union[bytes, tuple[int, ...]]) -> tuple[Optional[int], int, tuple[tuple[int, int], ...]]:
     """The one fold record: (first collision, collision count, contact pairs).
 
     Placement continues past collisions so the collision count is total.
@@ -407,11 +408,11 @@ def target_energy(n: int) -> int:
 class HPProblem:
     """One folding search instance: objective, move filter, and stop test.
 
-    Its points are digit tuples: n binary color digits followed by n-1
-    ternary turn digits.  The plan decides which segment the walk may move
-    in: 'A' turns only, 'B' colors only, 'C' both.  Color moves are
-    admissible only while the resulting weight stays at or below
-    ``weight_cap``; the stop test demands the exact target weight.
+    Its points are bytes: n binary color digits, then n-1 ternary turn
+    digits.  The plan decides which segment the walk may move in: 'A' turns
+    only, 'B' colors only, 'C' both.  Color moves are admissible only while
+    the resulting weight stays at or below ``weight_cap``; the stop test
+    demands the exact target weight.
     """
 
     plan: str
@@ -427,7 +428,7 @@ class HPProblem:
         return RadixSpec(((2, self.n), (3, self.n - 1)))
 
     @cached_property
-    def objective(self) -> Callable[[tuple[int, ...]], int]:
+    def objective(self) -> Callable[[bytes], int]:
         """Energy of a point's fold (-H-H contacts), or its penalty.
 
         Plan A values the turn moves of its latest pivot from that pivot's
@@ -437,7 +438,7 @@ class HPProblem:
         """
         return self._turn_move_objective if self.plan == "A" else self._record_objective
 
-    def _record_objective(self, digits: tuple[int, ...]) -> int:
+    def _record_objective(self, digits: bytes) -> int:
         # unchecked: points come from random_coordinate and admissible_neighbors
         n = self.n
         first, collisions, pairs = _fold_analysis(digits[n:])
@@ -452,7 +453,7 @@ class HPProblem:
     # instance copy, and __getstate__ leaves it out of pickles.
     _turn_moves = (None, {})
 
-    def _turn_move_objective(self, digits: tuple[int, ...]) -> int:
+    def _turn_move_objective(self, digits: bytes) -> int:
         boards, moves = self._turn_moves
         move = moves.get(id(digits))
         if move is None or move[0] is not digits:
@@ -466,15 +467,17 @@ class HPProblem:
         state.pop("_turn_moves", None)
         return state
 
-    def admissible_neighbors(self, digits: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def admissible_neighbors(self, digits: bytes) -> list[bytes]:
         """Distance-1 moves the plan admits, position-major, -1 before +1.
 
         The engine's random permutation indexes into this list, so its order
         is part of every walk's behaviour.
         """
         n = self.n
-        scratch = list(digits)
-        result: list[tuple[int, ...]] = []
+        scratch = bytearray(digits)
+        # a bound snapshot of the scratch copies it in C, faster than bytes()
+        snapshot = memoryview(scratch).tobytes
+        result: list[bytes] = []
         append = result.append
         if self.plan in ("B", "C"):
             below_cap = sum(digits[:n]) < self.weight_cap
@@ -482,17 +485,17 @@ class HPProblem:
                 d = digits[i]
                 if d or below_cap:
                     scratch[i] = 1 - d
-                    append(tuple(scratch))
+                    append(snapshot())
                     scratch[i] = d
         if self.plan in ("A", "C"):
             for i in range(n, 2 * n - 1):
                 d = digits[i]
                 if d > 0:
                     scratch[i] = d - 1
-                    append(tuple(scratch))
+                    append(snapshot())
                 if d < 2:
                     scratch[i] = d + 1
-                    append(tuple(scratch))
+                    append(snapshot())
                 scratch[i] = d
         if self.plan == "A":
             # a pivot that one of the last pivot's moves made derives its
@@ -511,7 +514,7 @@ class HPProblem:
             object.__setattr__(self, "_turn_moves", (boards, moves))
         return result
 
-    def is_solution(self, digits: tuple[int, ...], value: int) -> bool:
+    def is_solution(self, digits: bytes, value: int) -> bool:
         """Stop test: value at or below the energy target and exact target weight."""
         if value > self.energy_target:
             return False
@@ -519,7 +522,7 @@ class HPProblem:
             return True
         return sum(digits[: self.n]) == self.weight_target
 
-    def random_coordinate(self, rng: random.Random) -> tuple[int, ...]:
+    def random_coordinate(self, rng: random.Random) -> bytes:
         """Initial or restart draw honoring the plan's fixed segment and weight."""
         if self.plan == "A":
             bits = self.fixed_binary
@@ -529,7 +532,7 @@ class HPProblem:
             turns = self.fixed_ternary
         else:
             turns = tuple(rng.randrange(3) for _ in range(self.n - 1))
-        return bits + turns
+        return bytes(bits + turns)
 
     def solution_key(self, coord_b: str, coord_t: str) -> tuple[str, str]:
         """Identity of a solution for uniqueness counting, from its digit texts.

@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 import os
 import subprocess
@@ -90,6 +91,40 @@ class TestSolve:
         with pytest.raises(SystemExit, match="--instance.*--target") as err:
             main("solve --instance instances/hp10.instances --index 2 --base-seed 5 --target -3".split())
         assert "\n" not in str(err.value)
+
+    def test_index_without_instance_is_refused(self, monkeypatch):
+        # --index picks a record of --instance; alone it would be ignored
+        def no_run(config, problem):
+            raise AssertionError("the run started with a flag it ignores")
+
+        monkeypatch.setattr(cli, "run_search", no_run)
+        with pytest.raises(SystemExit, match="--index needs --instance") as err:
+            main("solve --plan C --length 6 --weight 3 --target -1 --index 5".split())
+        assert "\n" not in str(err.value)
+
+    def test_runs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # bytes and str hash differently under each PYTHONHASHSEED; a walk's
+        # rows must not, whatever its points hash to
+        src = str(Path(sawalk.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        problems = {
+            "C": ["--plan", "C", "--length", "10", "--weight", "4", "--target", "-4"],
+            "A": ["--instance", "instances/hp_literature.instances", "--index", "0"],
+        }
+        for plan, flags in problems.items():
+            texts = []
+            for hash_seed in ("0", "1"):
+                out = tmp_path / f"{plan}-{hash_seed}.csv"
+                subprocess.run(
+                    [sys.executable, "-m", "sawalk.cli", "solve", *flags, "--base-seed", "4", "--out", str(out)],
+                    env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                    capture_output=True,
+                    check=True,
+                )
+                texts.append(out.read_bytes())
+            assert texts[0] == texts[1]
+            [row] = parse_rows_csv(texts[0].decode())
+            assert row.walk_length > 0
 
     def test_negative_seed_is_one_line(self):
         # random.Random(-7) draws what Random(7) draws, so -7 would alias 7
@@ -192,6 +227,22 @@ class TestExperiment:
         with pytest.raises(SystemExit, match="sample size"):
             main(f"experiment --plan C --length 6 --weight 3 --target -1 --seeds 0 --out {out}".split())
         assert not out.exists()
+
+    def test_broken_pipe_keeps_the_written_out_file(self, tmp_path, monkeypatch, capsys):
+        # a reader that went away (`... | head -2`) is not a refused input:
+        # no usage error, and the finished --out file stays
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        out = tmp_path / "rows.csv"
+        code = main(
+            f"experiment --plan B --coord-t 211011011 --weight 4 --target -4 --seeds 3 --out {out}".split()
+        )
+        assert code == 1
+        assert len(parse_rows_csv(out.read_text())) == 3
+        assert capsys.readouterr().err == ""
 
     def test_improve_mode(self, capsys):
         code = main(

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -114,6 +115,10 @@ class TestVisitedBuffer:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             VisitedBuffer(capacity=0)
+
+    def test_membership_is_the_dicts_own_test(self):
+        # the walk tests every candidate: `in` must not call back into Python
+        assert VisitedBuffer.__contains__ is dict.__contains__
 
 
 class TestSearchConfig:
@@ -382,6 +387,46 @@ class TestRunSearch:
         )
         assert restarted
         assert all(sum(c.digits[:3]) == 1 for c in restarted)
+
+
+class AsTuples:
+    """A problem whose every candidate and draw reaches the engine as a digit tuple."""
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def admissible_neighbors(self, digits):
+        return [tuple(c) for c in self._problem.admissible_neighbors(digits)]
+
+    def random_coordinate(self, rng):
+        return tuple(self._problem.random_coordinate(rng))
+
+
+class TestPointType:
+    """HPProblem walks bytes; handed the same digits as tuples, the engine
+    must take the same walk.  Plan A's tuple walk misses the move table on
+    every probe, so it values each move from the fold record, not the boards."""
+
+    @pytest.mark.parametrize(
+        "problem, probe_limit",
+        [
+            (make_problem("A", coord_b="10100110100101100101", energy_target=-9), 20_000),
+            (make_problem("B", coord_t="211011011", weight_target=4, energy_target=-5), 2_000),
+            (make_problem("C", n=12, weight_target=6, energy_target=-5), 20_000),
+        ],
+        ids="ABC",
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tuple_walk_equals_bytes_walk(self, problem, probe_limit, seed):
+        config = SearchConfig(seed=seed, probe_limit=probe_limit)
+        assert type(problem.random_coordinate(random.Random(seed))) is bytes
+        walked = run_search(config, replace(problem))
+        as_tuples = run_search(config, AsTuples(replace(problem)))
+        assert walked.walk_length > 10
+        assert as_tuples == walked
 
 
 class TestSearchResult:

@@ -28,8 +28,8 @@ LITERATURE = Path(__file__).resolve().parent.parent / "instances" / "hp_literatu
 
 
 def point(coord_b, coord_t):
-    """The digit tuple a problem walks: colour digits, then turn digits."""
-    return as_digits(coord_b) + as_digits(coord_t)
+    """The bytes a problem walks: colour digits, then turn digits, one a byte."""
+    return bytes(as_digits(coord_b) + as_digits(coord_t))
 
 
 ONE_PER_PLAN = [
@@ -255,7 +255,7 @@ class TestPlanMoves:
         c = point("1001001001", "211011011")
         moves = p.admissible_neighbors(c)
         assert all(m[:10] == c[:10] for m in moves)
-        assert all(rank_distance(Coordinate(p.spec, c), Coordinate(p.spec, m)) == 1 for m in moves)
+        assert all(rank_distance(Coordinate(p.spec, tuple(c)), Coordinate(p.spec, tuple(m))) == 1 for m in moves)
 
     def test_plan_b_moves_only_colors_capped(self):
         p = make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4)
@@ -303,8 +303,8 @@ class TestPlanMoves:
             pivot = problem.random_coordinate(rng)
             moves = problem.admissible_neighbors(pivot)
             for c in [pivot] + moves:
-                reference = [m.digits for m in neighbors(Coordinate(problem.spec, c))]
-                expected = [m for m in reference if self._admits(problem, c, m)]
+                reference = [m.digits for m in neighbors(Coordinate(problem.spec, tuple(c)))]
+                expected = [bytes(m) for m in reference if self._admits(problem, c, m)]
                 assert problem.admissible_neighbors(c) == expected
 
     def test_downward_weight_moves_always_allowed(self):
@@ -315,12 +315,12 @@ class TestPlanMoves:
         assert weights and all(w == 1 for w in weights)
 
     @pytest.mark.parametrize("p", ONE_PER_PLAN, ids="ABC")
-    def test_moves_are_plain_tuples(self, p):
-        # the walk's points are digit tuples: no Coordinate per candidate
+    def test_moves_are_bytes(self, p):
+        # the walk's points are bytes: no Coordinate per candidate
         rng = random.Random(8)
         for _ in range(30):
             moves = p.admissible_neighbors(p.random_coordinate(rng))
-            assert moves and all(type(m) is tuple for m in moves)
+            assert moves and all(type(m) is bytes for m in moves)
 
 
 class TestSolutionTest:
@@ -376,14 +376,14 @@ class TestRandomDraws:
         rng = random.Random(6)
         for _ in range(30):
             c = p.random_coordinate(rng)
-            assert c[:10] == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
+            assert c[:10] == bytes((1, 0, 0, 1, 0, 0, 1, 0, 0, 1))
 
     def test_plan_b_keeps_ternary_fixed_and_weight_exact(self):
         p = make_problem("B", coord_t="211011011", weight_target=4, energy_target=-4)
         rng = random.Random(6)
         for _ in range(30):
             c = p.random_coordinate(rng)
-            assert c[10:] == (2, 1, 1, 0, 1, 1, 0, 1, 1)
+            assert c[10:] == bytes((2, 1, 1, 0, 1, 1, 0, 1, 1))
             assert sum(c[:10]) == 4
 
     def test_plan_c_weight_exact(self):
@@ -393,11 +393,11 @@ class TestRandomDraws:
             assert sum(p.random_coordinate(rng)[:10]) == 4
 
     @pytest.mark.parametrize("p", ONE_PER_PLAN, ids="ABC")
-    def test_draws_are_plain_tuples(self, p):
+    def test_draws_are_bytes(self, p):
         rng = random.Random(6)
         for _ in range(30):
             c = p.random_coordinate(rng)
-            assert type(c) is tuple and len(c) == p.spec.digit_count
+            assert type(c) is bytes and len(c) == p.spec.digit_count
 
     def test_objective_matches_module_function(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4)
