@@ -28,8 +28,7 @@ from sawalk.harness import (
     result_text,
     run_experiment,
 )
-from sawalk.hpfold import make_problem
-from sawalk.instances import load_instances
+from sawalk.instances import FIELDS, build_problem, load_instances
 from sawalk.mixedradix import hasse_dot, hasse_stats, parse_spec
 from sawalk.oracle import DEFAULT_DOMAIN_CAP, enumerate_optimum, report_text
 from sawalk.render import ascii_conformation, svg_conformation
@@ -54,14 +53,11 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _problem_from_args(args: argparse.Namespace):
+    # each problem flag is an instance-file key with a leading "--"
+    record = {key: value for key in FIELDS if (value := getattr(args, key.replace("-", "_"))) is not None}
     if args.instance:
-        given = [
-            "--" + name.replace("_", "-")
-            for name in ("plan", "length", "weight", "target", "coord_b", "coord_t", "weight_cap")
-            if getattr(args, name) is not None
-        ]
-        if given:
-            raise SystemExit(f"--instance holds the whole problem; drop {', '.join(given)}")
+        if record:
+            raise SystemExit(f"--instance holds the whole problem; drop {', '.join('--' + key for key in record)}")
         problems = load_instances(args.instance)
         index = args.index or 0
         if not 0 <= index < len(problems):
@@ -73,15 +69,7 @@ def _problem_from_args(args: argparse.Namespace):
         raise SystemExit("either --instance or --plan is required")
     if args.target is None:
         raise SystemExit("--target is required without --instance")
-    return make_problem(
-        args.plan,
-        n=args.length,
-        weight_target=args.weight,
-        energy_target=args.target,
-        coord_b=args.coord_b,
-        coord_t=args.coord_t,
-        weight_cap=args.weight_cap,
-    )
+    return build_problem(record)
 
 
 def _check_writable(out: str | None) -> None:

@@ -226,8 +226,12 @@ def rows_csv(rows: Sequence[RunRow]) -> str:
 
 def parse_rows_csv(text: str) -> list[RunRow]:
     """Read back ``rows_csv`` output, refusing rows it never writes: an
-    ``isCensored`` other than 0 or 1, a ``coordB`` that is not 0/1 text, or
-    a ``coordT`` that is not 0/1/2 text one digit shorter than ``coordB``."""
+    ``isCensored`` other than 0 or 1, a ``coordB`` that is not 0/1 text, a
+    ``coordT`` that is not 0/1/2 text one digit shorter than ``coordB``, a
+    negative ``seed`` or ``walkLength``, a ``cntProbe`` short of the first
+    probe and one per step, a ``probesPerStep`` other than ``cntProbe /
+    walkLength`` (``cntProbe`` for zero steps), or a solved row whose
+    ``value`` is a penalty."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
     if tuple(header) != CSV_COLUMNS:
@@ -238,18 +242,25 @@ def parse_rows_csv(text: str) -> list[RunRow]:
         if censored not in ("0", "1"):
             raise ValueError(f"isCensored must be 0 or 1, got {censored!r}")
         _check_segments(coord_b, coord_t, len(coord_b))
-        rows.append(
-            RunRow(
-                seed=int(seed),
-                coord_b=coord_b,
-                coord_t=coord_t,
-                value=int(value),
-                cnt_probe=int(cnt_probe),
-                walk_length=int(walk_length),
-                probes_per_step=float(pps),
-                is_censored=censored == "1",
-            )
+        row = RunRow(
+            seed=int(seed),
+            coord_b=coord_b,
+            coord_t=coord_t,
+            value=int(value),
+            cnt_probe=int(cnt_probe),
+            walk_length=int(walk_length),
+            probes_per_step=float(pps),
+            is_censored=censored == "1",
         )
+        if row.seed < 0 or row.walk_length < 0:
+            raise ValueError(f"seed and walkLength must be at least 0, got {seed} and {walk_length}")
+        if row.cnt_probe <= row.walk_length:
+            raise ValueError(f"cntProbe must exceed walkLength, got {cnt_probe} and {walk_length}")
+        if row.probes_per_step != row.cnt_probe / (row.walk_length or 1):
+            raise ValueError(f"probesPerStep must be cntProbe / walkLength, or cntProbe for zero steps, got {pps}")
+        if not row.is_censored and row.value > 0:
+            raise ValueError(f"a solved row's value is at most 0, got {value}")
+        rows.append(row)
     return rows
 
 

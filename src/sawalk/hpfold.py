@@ -23,7 +23,7 @@ bead, so its collisions and new contacts are a few big-int operations
 against the pivot's head.  The next pivot is one of those moves, so its
 boards are derived from the last pivot's and the move; only the first
 pivot, a restart, and a move that leaves the last pivot's layout are built
-from their turns.  The moves are found by their candidate's identity, in a
+from their turns.  The moves are found by their candidate's digits, in a
 table built next to the candidate list.
 """
 from __future__ import annotations
@@ -446,19 +446,18 @@ class HPProblem:
             return default_penalty(n, first, collisions)
         return -_hh_count(pairs, digits)
 
-    # (boards, {id(candidate): (candidate, k, r)}) of the latest plan A
-    # pivot, empty until admissible_neighbors meets a feasible pivot.  The
-    # table holds its candidates, so no other live object shares a key.  Not
-    # annotated, so not a dataclass field: equality and hashing ignore the
-    # instance copy, and __getstate__ leaves it out of pickles.
+    # (boards, {candidate: (k, r)}) of the latest plan A pivot, empty until
+    # admissible_neighbors meets a feasible pivot.  Not annotated, so not a
+    # dataclass field: equality and hashing ignore the instance copy, and
+    # __getstate__ leaves it out of pickles.
     _turn_moves = (None, {})
 
     def _turn_move_objective(self, digits: bytes) -> int:
         boards, moves = self._turn_moves
-        move = moves.get(id(digits))
-        if move is None or move[0] is not digits:
+        move = moves.get(digits)
+        if move is None:
             return self._record_objective(digits)
-        return boards.value(move[1], move[2])
+        return boards.value(*move)
 
     def __getstate__(self) -> dict:
         # the bound objective and the pivot's boards are rebuilt on use
@@ -503,14 +502,14 @@ class HPProblem:
             # move that leaves the old layout build them from the turns
             bits, turns = digits[:n], digits[n:]
             boards, moves = self._turn_moves
-            move = moves.get(id(digits))
-            boards = boards.moved(bits, move[1], move[2]) if move is not None and move[0] is digits else None
+            move = moves.get(digits)
+            boards = boards.moved(bits, *move) if move is not None else None
             if boards is None:
                 boards = _pivot_boards(bits, turns)
             moves = {}  # stays empty for a colliding pivot or one past the bound
             if boards is not None:
                 turned = [(k, r) for k, d in enumerate(turns) for r in _MOVE_ROTATIONS[d]]
-                moves = {id(c): (c, k, r) for c, (k, r) in zip(result, turned)}
+                moves = dict(zip(result, turned))
             object.__setattr__(self, "_turn_moves", (boards, moves))
         return result
 

@@ -2,7 +2,8 @@
 
 Grammar: one record per instance, records separated by one or more blank
 lines.  Each record line is ``key = value``; lines whose first non-blank
-character is '#' are comments.  Keys:
+character is '#' are comments.  The keys are ``FIELDS``, which the CLI's
+problem flags spell with a leading ``--``:
 
     plan        A | B | C                     (required)
     length      chain length n                (required for plan C; derived
@@ -13,7 +14,8 @@ character is '#' are comments.  Keys:
     coord-t     ternary turn segment          (required for plan B)
     weight-cap  admissible-weight ceiling     (optional, default weight + 1)
 
-Unknown keys are an error, as is a missing required key.
+Unknown keys are an error, as is a missing required key.  ``build_problem``
+makes the problem of one record, whether read from a file or from the flags.
 """
 from __future__ import annotations
 
@@ -22,7 +24,9 @@ from typing import Union
 
 from sawalk.hpfold import HPProblem, make_problem
 
-_KEYS = {"plan", "length", "weight", "target", "coord-b", "coord-t", "weight-cap"}
+# every problem field and the type its text is read as, in make_problem's
+# parameter order
+FIELDS = {"plan": str, "length": int, "weight": int, "target": int, "coord-b": str, "coord-t": str, "weight-cap": int}
 
 
 def parse_instances(text: str) -> list[HPProblem]:
@@ -34,40 +38,29 @@ def parse_instances(text: str) -> list[HPProblem]:
             continue
         if not line:
             if record:
-                problems.append(_build(record))
+                problems.append(build_problem(record))
                 record = {}
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _KEYS:
+        if key not in FIELDS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in record:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         record[key] = value
     if record:
-        problems.append(_build(record))
+        problems.append(build_problem(record))
     return problems
 
 
-def _build(record: dict[str, str]) -> HPProblem:
+def build_problem(record: dict) -> HPProblem:
+    """The problem of one record, each value read as its ``FIELDS`` type."""
     if "plan" not in record:
         raise ValueError("instance record is missing the plan")
     if "target" not in record:
         raise ValueError("instance record is missing the energy target")
-
-    def number(key: str):
-        return int(record[key]) if key in record else None
-
-    return make_problem(
-        record["plan"],
-        n=number("length"),
-        weight_target=number("weight"),
-        energy_target=number("target"),
-        coord_b=record.get("coord-b"),
-        coord_t=record.get("coord-t"),
-        weight_cap=number("weight-cap"),
-    )
+    return make_problem(*(FIELDS[key](record[key]) if key in record else None for key in FIELDS))
 
 
 def load_instances(path: Union[str, Path]) -> list[HPProblem]:

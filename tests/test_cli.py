@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import io
 import json
@@ -12,6 +13,7 @@ import sawalk
 from sawalk import cli, oracle
 from sawalk.cli import main
 from sawalk.harness import parse_rows_csv
+from sawalk.instances import FIELDS
 from sawalk.oracle import parse_report
 
 
@@ -34,6 +36,30 @@ def test_import_loads_no_pool_statistics_or_json():
         check=True,
     ).stdout.split()
     assert set(loaded) & {"multiprocessing", "concurrent.futures", "statistics", "json"} == set()
+
+
+PROBLEM_COMMANDS = ("solve", "experiment", "oracle")
+
+
+def test_problem_flags_are_the_instance_fields():
+    """The flags that solve, experiment and oracle share, apart from help,
+    --out, --instance and --index, are the instance file's keys."""
+    parser = cli.build_parser()
+    [commands] = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    shared = set.intersection(
+        *({flag for action in commands[name]._actions for flag in action.option_strings} for name in PROBLEM_COMMANDS)
+    )
+    assert shared - {"-h", "--help", "--out", "--instance", "--index"} == {"--" + key for key in FIELDS}
+
+
+@pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+@pytest.mark.parametrize("key", FIELDS)
+def test_each_field_beside_instance_is_refused(command, key):
+    flag = "--" + key
+    value = "A" if key == "plan" else "1"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--instance", "instances/hp10.instances", flag, value])
+    assert err.value.code == f"--instance holds the whole problem; drop {flag}"
 
 
 class TestSolve:

@@ -247,6 +247,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="segments must be"):
             parse_rows_csv(header + f"7,{coord_b},{coord_t},-4,30,3,10.0,1\n")
 
+    @pytest.mark.parametrize(
+        "record, refusal",
+        [
+            ("-1,1001001001,211011011,-4,30,3,10.0,1", "seed"),
+            ("7,1001001001,211011011,-4,30,-1,-30.0,1", "walkLength"),
+            ("7,1001001001,211011011,-4,3,3,1.0,1", "cntProbe"),  # fewer probes than a first and one per step
+            ("7,1001001001,211011011,-4,0,0,0.0,1", "cntProbe"),
+            ("5,1001001001,211011011,-4,-7,30,0.5,0", "cntProbe"),
+            ("7,1001001001,211011011,-4,30,3,10.5,1", "probesPerStep"),
+            ("7,1001001001,211011011,-4,30,0,0.0,1", "probesPerStep"),  # zero steps report cntProbe
+            ("7,1001001001,211011011,3,30,3,10.0,0", "solved"),  # a solved row is feasible
+        ],
+    )
+    def test_counts_no_run_produces_are_rejected(self, record, refusal):
+        header = ",".join(CSV_COLUMNS) + "\n"
+        with pytest.raises(ValueError, match=refusal):
+            parse_rows_csv(header + record + "\n")
+
     def test_json_payload(self):
         config = ExperimentConfig(plan_c(-3), sample_size=4, base_seed=2)
         summary, rows = run_experiment(config)

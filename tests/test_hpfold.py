@@ -500,10 +500,8 @@ class TestTurnMoveValues:
 
     @staticmethod
     def _assert_table_holds(problem, candidates):
-        # one entry per candidate, keyed by its identity and holding it
-        moves = problem._turn_moves[1]
-        assert len(moves) == len(candidates)
-        assert all(moves[id(c)][0] is c for c in candidates)
+        # one entry per candidate, keyed by its digits
+        assert list(problem._turn_moves[1]) == candidates
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -608,9 +606,10 @@ class TestTurnMoveValues:
         # move back to the first pivot has an equal-digit twin among them
         assert first in later
         self._assert_exact(problem, earlier[::-1] + later + earlier)
-        # equal digits are not the same candidate: a copy reads the record
+        # the table is keyed by digits, not identity: a copy is valued from
+        # the table and still equals the record's value
         copies = [c[:16] + c[16:] for c in later]
-        assert all(id(c) not in problem._turn_moves[1] for c in copies)
+        assert all(c is not d and c in problem._turn_moves[1] for c, d in zip(copies, later))
         self._assert_exact(problem, copies)
         self._assert_exact(other, foreign)
         # another problem's coordinates, valued by this one, read the record

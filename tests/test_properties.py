@@ -202,19 +202,27 @@ def segment_text(base, length):
     return st.text(alphabet="0123"[:base], min_size=length, max_size=length)
 
 
-def run_rows_of(n):
-    row = st.builds(
-        RunRow,
-        seed=st.integers(0, 2**64 - 1),
-        coord_b=segment_text(2, n),
-        coord_t=segment_text(3, n - 1),
-        value=st.integers(-20, 40),
-        cnt_probe=st.integers(1, 2**40),
-        walk_length=st.integers(0, 2**30),
-        probes_per_step=st.floats(0, 1e9, allow_nan=False),
-        is_censored=st.booleans(),
+@st.composite
+def run_row(draw, n):
+    """A row as a run writes it: the first probe and at least one per step,
+    their ratio, and a penalty value only when censored."""
+    walk_length = draw(st.integers(0, 2**30))
+    cnt_probe = draw(st.integers(walk_length + 1, 2**40))
+    is_censored = draw(st.booleans())
+    return RunRow(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        coord_b=draw(segment_text(2, n)),
+        coord_t=draw(segment_text(3, n - 1)),
+        value=draw(st.integers(-20, 40 if is_censored else 0)),
+        cnt_probe=cnt_probe,
+        walk_length=walk_length,
+        probes_per_step=cnt_probe / walk_length if walk_length else float(cnt_probe),
+        is_censored=is_censored,
     )
-    return st.lists(row, min_size=1, max_size=8)
+
+
+def run_rows_of(n):
+    return st.lists(run_row(n), min_size=1, max_size=8)
 
 
 @st.composite
