@@ -55,7 +55,9 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
 def _problem_from_args(args: argparse.Namespace):
     # each problem flag is an instance-file key with a leading "--"
     record = {key: value for key in FIELDS if (value := getattr(args, key.replace("-", "_"))) is not None}
-    if args.instance:
+    if args.instance is not None:
+        if not args.instance:
+            raise SystemExit("--instance needs a file path")
         if record:
             raise SystemExit(f"--instance holds the whole problem; drop {', '.join('--' + key for key in record)}")
         problems = load_instances(args.instance)

@@ -62,6 +62,15 @@ def test_each_field_beside_instance_is_refused(command, key):
     assert err.value.code == f"--instance holds the whole problem; drop {flag}"
 
 
+@pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+@pytest.mark.parametrize("flags", [[], "--plan C --length 6 --weight 3 --target -1".split()], ids=["alone", "with-flags"])
+def test_empty_instance_path_is_refused(command, flags):
+    # an empty path is a given --instance, not a missing one; read as a file it names no flag
+    with pytest.raises(SystemExit) as err:
+        main([command, "--instance", "", *flags])
+    assert err.value.code == "--instance needs a file path"
+
+
 class TestSolve:
     def test_plan_c_run(self, capsys):
         code = main(

@@ -1,6 +1,6 @@
 """Pinned behaviour fingerprint.
 
-Fixed small campaigns, one oracle scan and one drawing, hashed.  A change
+Fixed small campaigns, oracle scans and drawings, hashed.  A change
 that is meant to keep behaviour (a refactor, a speed-up) must leave every
 pin as it is; a change that is meant to alter behaviour must say so and
 re-pin.
@@ -16,7 +16,7 @@ from sawalk.harness import ExperimentConfig, improving_campaign, rows_csv, run_r
 from sawalk.hpfold import make_problem
 from sawalk.instances import load_instances
 from sawalk.oracle import enumerate_optimum, report_text
-from sawalk.render import ascii_conformation
+from sawalk.render import ascii_conformation, svg_conformation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 HP10 = INSTANCES / "hp10.instances"
@@ -142,3 +142,24 @@ def test_ascii_drawing():
         "\n"
         "energy -4  weight 4  length 10\n"
     )
+
+
+def test_svg_drawing():
+    assert sha256(svg_conformation("1001001001", "211011011")) == (
+        "05451036ea030f1d79ad66c9372a9c59a29db8a55230bbcc96e223016aea9d4e"
+    )
+
+
+# plan A's literature optimum (record 0, energy -9); its fold spans negative x and y
+OPTIMUM_B, OPTIMUM_T = "10100110100101100101", "0020011020010110020"
+
+
+@pytest.mark.parametrize(
+    "draw, digest",
+    [
+        (ascii_conformation, "c7bc92b2f8255b763f7d39091aaf6dd8af7e78459b24965d19cbcba032491266"),
+        (svg_conformation, "68e74a6609498382258ac0540b7c866e4cda35f29c88a9c3e69a17fd40b4374b"),
+    ],
+)
+def test_literature_optimum_drawing(draw, digest):
+    assert sha256(draw(OPTIMUM_B, OPTIMUM_T)) == digest

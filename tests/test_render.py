@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from sawalk.render import ascii_conformation, svg_conformation
@@ -48,3 +50,8 @@ class TestSvg:
         a = svg_conformation("1001001001", "200100100")
         b = svg_conformation("1001001001", "200100100")
         assert a == b
+
+    def test_parses_as_xml(self):
+        root = ET.fromstring(svg_conformation("10100110100101100101", "0020011020010110020"))
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == 20
