@@ -34,12 +34,6 @@ from sawalk.oracle import DEFAULT_DOMAIN_CAP, enumerate_optimum, report_text
 from sawalk.render import ascii_conformation, svg_conformation
 
 
-PROBE_LIMIT_HELP = (
-    "probe budget per run; checked before each whole step, so a run may "
-    "exceed it by up to one neighbourhood"
-)
-
-
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plan", choices=["A", "B", "C"], help="search formulation")
     parser.add_argument("--length", type=int, help="chain length n")
@@ -50,6 +44,13 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weight-cap", type=int, help="admissible weight ceiling (default weight+1)")
     parser.add_argument("--instance", help="read the problem from an instance file")
     parser.add_argument("--index", type=int, help="record index within --instance (default 0)")
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help="probe budget per run; checked before each whole step, so a run may exceed it by up to one neighbourhood")
+    parser.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def _problem_from_args(args: argparse.Namespace):
@@ -90,7 +91,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
-    _check_writable(args.out)
     config = SearchConfig(
         seed=args.base_seed,
         probe_limit=args.probe_limit,
@@ -111,7 +111,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
-    _check_writable(args.out)
     config = ExperimentConfig(
         problem=problem,
         sample_size=args.seeds,
@@ -150,7 +149,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
-    _check_writable(args.out)
     report = enumerate_optimum(problem, domain_cap=args.domain_cap, workers=args.workers)
     text = report_text(report)
     if args.threshold is not None:
@@ -194,23 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one seeded search")
     _add_problem_args(solve)
-    solve.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
-    solve.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help=PROBE_LIMIT_HELP)
-    solve.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
+    _add_run_args(solve)
     solve.add_argument("--out", help="write the result row to this file")
-    solve.add_argument("--format", choices=["csv", "json"], default="csv")
     solve.set_defaults(func=_cmd_solve)
 
     experiment = sub.add_parser("experiment", help="run a multi-seed campaign")
     _add_problem_args(experiment)
+    _add_run_args(experiment)
     experiment.add_argument("--seeds", type=int, default=1000, help="number of runs")
-    experiment.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
-    experiment.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help=PROBE_LIMIT_HELP)
-    experiment.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
     experiment.add_argument("--parallelism", type=int, default=1, help="worker processes, at most one per CPU and one per run (ignored with --improve)")
     experiment.add_argument("--improve", action="store_true", help="lower the problem's energy target to each run that beats it")
     experiment.add_argument("--out", help="write result rows to this file")
-    experiment.add_argument("--format", choices=["csv", "json"], default="csv")
     experiment.set_defaults(func=_cmd_experiment)
 
     oracle = sub.add_parser("oracle", help="enumerate a small domain exhaustively")
@@ -247,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     created = args.out and not Path(args.out).exists()
     try:
+        _check_writable(args.out)
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code

@@ -132,12 +132,6 @@ class SearchResult:
     is_censored: bool
     restarts: int = 0
 
-    @property
-    def probes_per_step(self) -> float:
-        if self.walk_length == 0:
-            return float(self.probe_count)
-        return self.probe_count / self.walk_length
-
 
 def run_search(
     config: SearchConfig,

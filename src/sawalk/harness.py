@@ -1,7 +1,7 @@
 """Seeded experiment campaigns over the walk engine.
 
 A campaign runs an instance under many derived seeds, collects one row per
-run (the engine's result tuple plus probes-per-step), and aggregates
+run (the engine's result tuple, probes-per-step derived), and aggregates
 order-statistics, unique-solution and beyond-target counts.  Campaigns are
 shardable: any split of the run indices produces row lists that concatenate
 and aggregate to exactly the single-shot result, and per-run seeds depend
@@ -82,8 +82,12 @@ class RunRow:
     value: int
     cnt_probe: int
     walk_length: int
-    probes_per_step: float
     is_censored: bool
+
+    @property
+    def probes_per_step(self) -> float:
+        """Probes per step; a run with no step spent its probes on the draw."""
+        return self.cnt_probe / (self.walk_length or 1)
 
     @classmethod
     def from_result(cls, result: SearchResult, n: int) -> RunRow:
@@ -96,7 +100,6 @@ class RunRow:
             value=result.value,
             cnt_probe=result.probe_count,
             walk_length=result.walk_length,
-            probes_per_step=result.probes_per_step,
             is_censored=result.is_censored,
         )
 
@@ -128,8 +131,11 @@ class ExperimentConfig:
             raise ValueError("sample size must be at least 1")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
-        # refuse the run limits now, not in the first run or a worker
-        SearchConfig(probe_limit=self.probe_limit, buffer_capacity=self.buffer_capacity)
+        # refuse the run limits now, not in the first run or a worker;
+        # derive_seed keeps 64 bits, so base seeds 2^64 apart would alias
+        if self.base_seed >= 1 << 64:
+            raise ValueError(f"base seed must be below 2^64, got {self.base_seed}")
+        SearchConfig(seed=self.base_seed, probe_limit=self.probe_limit, buffer_capacity=self.buffer_capacity)
 
 
 @dataclass(frozen=True)
@@ -249,14 +255,13 @@ def parse_rows_csv(text: str) -> list[RunRow]:
             value=int(value),
             cnt_probe=int(cnt_probe),
             walk_length=int(walk_length),
-            probes_per_step=float(pps),
             is_censored=censored == "1",
         )
         if row.seed < 0 or row.walk_length < 0:
             raise ValueError(f"seed and walkLength must be at least 0, got {seed} and {walk_length}")
         if row.cnt_probe <= row.walk_length:
             raise ValueError(f"cntProbe must exceed walkLength, got {cnt_probe} and {walk_length}")
-        if row.probes_per_step != row.cnt_probe / (row.walk_length or 1):
+        if float(pps) != row.probes_per_step:
             raise ValueError(f"probesPerStep must be cntProbe / walkLength, or cntProbe for zero steps, got {pps}")
         if not row.is_censored and row.value > 0:
             raise ValueError(f"a solved row's value is at most 0, got {value}")

@@ -49,15 +49,21 @@ MAX_COLOR_DIGITS = 28 << 20
 class OracleReport:
     """Result of scanning (part of) a problem's solution-eligible domain.
 
-    ``evaluations`` and ``histogram`` cover every raw pair scanned, while
-    ``argmin`` lists distinct minimizing solutions as the colour and turn
-    texts of ``HPProblem.solution_key`` (mirror folds stay distinct).
+    ``histogram`` counts every raw pair scanned by value, while ``argmin``
+    lists distinct minimizing solutions as the colour and turn texts of
+    ``HPProblem.solution_key`` (mirror folds stay distinct).
     """
 
-    min_value: int
     argmin: tuple[tuple[str, str], ...]  # (colors, turns) text pairs, sorted
-    evaluations: int
     histogram: dict[int, int]
+
+    @property
+    def min_value(self) -> int:
+        return min(self.histogram)
+
+    @property
+    def evaluations(self) -> int:
+        return sum(self.histogram.values())
 
     def count_at_or_below(self, threshold: float) -> int:
         return sum(c for v, c in self.histogram.items() if v <= threshold)
@@ -67,20 +73,13 @@ def merge_reports(reports: list[OracleReport]) -> OracleReport:
     """Combine chunk reports; associative and order-independent."""
     if not reports:
         raise ValueError("nothing to merge")
-    min_value = min(r.min_value for r in reports)
-    argmin = sorted(
-        {pair for r in reports if r.min_value == min_value for pair in r.argmin}
-    )
     histogram: dict[int, int] = {}
     for r in reports:
         for v, c in r.histogram.items():
             histogram[v] = histogram.get(v, 0) + c
-    return OracleReport(
-        min_value=min_value,
-        argmin=tuple(argmin),
-        evaluations=sum(r.evaluations for r in reports),
-        histogram=histogram,
-    )
+    min_value = min(histogram)
+    argmin = sorted({pair for r in reports if min_value in r.histogram for pair in r.argmin})
+    return OracleReport(argmin=tuple(argmin), histogram=histogram)
 
 
 def _colorings(problem: HPProblem) -> list[str]:
@@ -265,12 +264,7 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
     for best_bits, turns in argmin:
         turns = digits_text(turns)
         keys.update((colorings[b], turns) for b in _bit_indices(best_bits))
-    return OracleReport(
-        min_value=min_value,
-        argmin=tuple(sorted(keys)),
-        evaluations=sum(histogram.values()),
-        histogram=histogram,
-    )
+    return OracleReport(argmin=tuple(sorted(keys)), histogram=histogram)
 
 
 def enumerate_optimum(
@@ -361,16 +355,11 @@ def parse_report(text: str) -> OracleReport:
         raise ValueError("report lacks its evaluations or min-value line")
     if min(histogram.values(), default=1) < 1:
         raise ValueError("a count line is below 1, but only values that occur are counted")
-    if sum(histogram.values()) != evaluations:
-        raise ValueError(f"count lines sum to {sum(histogram.values())}, not evaluations = {evaluations}")
-    if min_value != min(histogram, default=None):
+    report = OracleReport(argmin=tuple(sorted(argmin)), histogram=histogram)
+    if report.evaluations != evaluations:
+        raise ValueError(f"count lines sum to {report.evaluations}, not evaluations = {evaluations}")
+    if not histogram or min_value != report.min_value:
         raise ValueError(f"min-value = {min_value} is not the least value counted")
-    report = OracleReport(
-        min_value=min_value,
-        argmin=tuple(sorted(argmin)),
-        evaluations=evaluations,
-        histogram=histogram,
-    )
     for threshold, count in threshold_counts:
         expected = report.count_at_or_below(threshold)
         if count != expected:

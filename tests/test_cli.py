@@ -38,6 +38,11 @@ def test_import_loads_no_pool_statistics_or_json():
     assert set(loaded) & {"multiprocessing", "concurrent.futures", "statistics", "json"} == set()
 
 
+def one_line_exit(err: SystemExit) -> bool:
+    """A text exit code prints as one line and exits with status 1."""
+    return isinstance(err.code, str) and "\n" not in err.code
+
+
 PROBLEM_COMMANDS = ("solve", "experiment", "oracle")
 
 
@@ -239,6 +244,16 @@ class TestExperiment:
         assert payload["stats"]["sampleSize"] == 5
         assert len(payload["rows"]) == 5
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "seed must be at least 0, got -1"), (str(2**64), "base seed must be below 2\\^64")],
+    )
+    def test_base_seed_outside_64_bits_is_one_line(self, seed, message):
+        # run seeds keep 64 bits of the base seed, so -1 would alias 2^64 - 1
+        with pytest.raises(SystemExit, match=message) as err:
+            main(f"experiment --plan C --length 10 --weight 4 --target -4 --seeds 2 --base-seed {seed}".split())
+        assert one_line_exit(err.value)
+
     def test_unwritable_out_is_one_line(self, tmp_path, capsys):
         out = tmp_path / "nosuch" / "x.csv"
         with pytest.raises(SystemExit, match="No such file or directory"):
@@ -384,6 +399,18 @@ class TestHasse:
         main(f"hasse --spec 2^1.3^1 --dot --out {out}".split())
         assert out.read_text().startswith("graph hasse {")
 
+    @pytest.mark.parametrize("flags", ["", "--dot"])
+    def test_unwritable_out_fails_before_the_work(self, tmp_path, monkeypatch, flags):
+        def no_work(spec, enumeration_cap):
+            raise AssertionError("the graph was built before --out was checked")
+
+        monkeypatch.setattr(cli, "hasse_stats", no_work)
+        monkeypatch.setattr(cli, "hasse_dot", no_work)
+        out = tmp_path / "nosuch" / "g.txt"
+        with pytest.raises(SystemExit, match="No such file or directory") as err:
+            main(f"hasse --spec 2^2.3^2 {flags} --out {out}".split())
+        assert one_line_exit(err.value)
+
     def test_dot_base_above_36_is_one_line(self):
         with pytest.raises(SystemExit, match="DOT text supports bases up to 36, got 40"):
             main("hasse --spec 40^1 --dot".split())
@@ -401,3 +428,16 @@ class TestRender:
     def test_infeasible_fold_message(self, capsys):
         with pytest.raises(SystemExit, match="collision at bead 4"):
             main("render --coord-b 10101 --coord-t 0000".split())
+
+    def test_unwritable_out_fails_before_the_drawing(self, tmp_path, monkeypatch):
+        def no_drawing(coord_b, coord_t):
+            raise AssertionError("the fold was drawn before --out was checked")
+
+        monkeypatch.setattr(cli, "ascii_conformation", no_drawing)
+        monkeypatch.setattr(cli, "svg_conformation", no_drawing)
+        svg = tmp_path / "fold.svg"
+        out = tmp_path / "nosuch" / "fold.txt"
+        with pytest.raises(SystemExit, match="No such file or directory") as err:
+            main(f"render --coord-b 1001001001 --coord-t 211011011 --svg {svg} --out {out}".split())
+        assert one_line_exit(err.value)
+        assert not svg.exists()

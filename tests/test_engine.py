@@ -7,7 +7,6 @@ from sawalk import engine
 from sawalk.engine import (
     FunctionProblem,
     SearchConfig,
-    SearchResult,
     VisitedBuffer,
     run_search,
 )
@@ -278,7 +277,6 @@ class TestRunSearch:
         res = run_search(SearchConfig(seed=5), problem)
         assert res.walk_length == 0
         assert res.probe_count == 1
-        assert res.probes_per_step == 1.0
 
     def test_probe_limit_one_censors(self):
         problem = tiny_problem(target=-1)
@@ -427,11 +425,3 @@ class TestPointType:
         as_tuples = run_search(config, AsTuples(replace(problem)))
         assert walked.walk_length > 10
         assert as_tuples == walked
-
-
-class TestSearchResult:
-    def test_probes_per_step(self):
-        spec = RadixSpec(((2, 1),))
-        c = Coordinate(spec, (0,))
-        assert SearchResult(1, c, 0, 14, 7, False).probes_per_step == 2.0
-        assert SearchResult(1, c, 0, 5, 0, False).probes_per_step == 5.0

@@ -67,7 +67,15 @@ def small_campaign():
 
 
 def solved_row(coord_b, coord_t):
-    return RunRow(7, coord_b, coord_t, -4, 30, 3, 10.0, False)
+    return RunRow(7, coord_b, coord_t, -4, 30, 3, False)
+
+
+class TestRunRow:
+    def test_probes_per_step(self):
+        assert RunRow(1, "10", "2", 0, 14, 7, False).probes_per_step == 2.0
+        # a run that stops at its first draw, or is censored there, took no step
+        assert RunRow(1, "10", "2", 0, 5, 0, False).probes_per_step == 5.0
+        assert RunRow(1, "10", "2", 0, 1, 0, False).probes_per_step == 1.0
 
 
 class TestCampaign:
@@ -297,6 +305,9 @@ class TestSerialization:
             ({"probe_limit": 0}, "probe limit must be at least 1"),
             ({"buffer_capacity": 0}, "buffer capacity must be at least 1"),
             ({"probe_limit": 0, "buffer_capacity": 0}, "probe limit must be at least 1"),
+            # derive_seed keeps 64 bits, so base seeds 2^64 apart would run one campaign
+            ({"base_seed": -1}, "seed must be at least 0, got -1"),
+            ({"base_seed": 2**64}, "base seed must be below 2\\^64, got 18446744073709551616"),
         ],
     )
     def test_run_limits_below_one_are_refused(self, limits, message):

@@ -125,7 +125,7 @@ def brute_force(problem):
         for value, bits, turns in scored
         if value == min_value
     }
-    return OracleReport(min_value, tuple(sorted(argmin)), len(scored), histogram)
+    return OracleReport(tuple(sorted(argmin)), histogram)
 
 
 def chain(plan, n):
@@ -511,7 +511,7 @@ class TestReportSerialization:
         assert parse_report(report_text(report)) == report
 
     def test_text_shape(self):
-        report = OracleReport(-2, (("110", "22"),), 54, {-2: 1, 0: 40, 3: 13})
+        report = OracleReport((("110", "22"),), {-2: 1, 0: 40, 3: 13})
         text = report_text(report)
         assert "min-value = -2" in text
         assert "count[-2] = 1" in text
