@@ -101,9 +101,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.out:
         single = ExperimentConfig(problem, sample_size=1)
         Path(args.out).write_text(result_text(single, [row], args.format))
-    status = "censored" if row.is_censored else "solved"
+    status, where = "solved", f"{row.coord_b}.{row.coord_t}"
+    if row.is_censored:
+        # the best pivot seen, whose weight may be anything up to weight_cap
+        status = "censored"
+        where += f" with weight {row.coord_b.count('1')}, target weight {problem.weight_target}"
     print(
-        f"{status}: value {row.value} at {row.coord_b}.{row.coord_t} "
+        f"{status}: value {row.value} at {where} "
         f"(probes {row.cnt_probe}, steps {row.walk_length}, restarts {result.restarts})"
     )
     return 1 if row.is_censored else 0
@@ -163,7 +167,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     if args.dot:
         _write_or_print(hasse_dot(spec, enumeration_cap=args.cap), args.out)
     else:
-        stats = hasse_stats(spec, enumeration_cap=args.cap)
+        stats = hasse_stats(spec)
         histogram = " ".join(
             f"{deg}:{count}" for deg, count in sorted(stats.degree_histogram.items())
         )
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     hasse = sub.add_parser("hasse", help="adjacency-graph statistics or DOT export")
     hasse.add_argument("--spec", required=True, help="space spec, e.g. 2^2.3^2")
     hasse.add_argument("--dot", action="store_true", help="emit DOT text instead of statistics")
-    hasse.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
+    hasse.add_argument("--cap", type=int, default=10**6, help="bounds --dot only: the most coordinates it enumerates (statistics are counted, not enumerated, for a space of any size)")
     hasse.add_argument("--out", help="write output to this file")
     hasse.set_defaults(func=_cmd_hasse)
 

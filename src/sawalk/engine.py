@@ -121,7 +121,9 @@ class SearchResult:
     """One table row: what a run returned and what it cost.
 
     For solved runs the coordinate and value are the stop-test pivot; for
-    censored runs they are the best the walk saw.
+    censored runs they are the best the walk saw.  For plans B and C that
+    best pivot need not meet the weight target: its weight may be anything
+    up to the problem's ``weight_cap``.
     """
 
     seed: int
@@ -174,7 +176,7 @@ def run_search(
     restarts = 0
     visited.add(pivot)
     if observer is not None:
-        observer("init", Coordinate._unchecked(problem.spec, tuple(pivot)), value)
+        observer("init", Coordinate(problem.spec, tuple(pivot)), value)
     best, best_value = pivot, value
     solved = problem.is_solution(pivot, value)
     while not solved and probe_count < config.probe_limit:
@@ -201,7 +203,7 @@ def run_search(
         walk_length += 1
         visited.add(pivot)
         if observer is not None:
-            observer(event, Coordinate._unchecked(problem.spec, tuple(pivot)), value)
+            observer(event, Coordinate(problem.spec, tuple(pivot)), value)
         if value <= best_value:
             best, best_value = pivot, value
         solved = problem.is_solution(pivot, value)
@@ -211,7 +213,7 @@ def run_search(
         best, best_value = pivot, value
     return SearchResult(
         seed=config.seed,
-        coordinate=Coordinate._unchecked(problem.spec, tuple(best)),
+        coordinate=Coordinate(problem.spec, tuple(best)),
         value=best_value,
         probe_count=probe_count,
         walk_length=walk_length,

@@ -5,8 +5,8 @@ digits followed by two ternary digits.  Coordinates are digit strings over
 that space; two coordinates are adjacent when exactly one digit differs by
 one.  This module provides the coordinate representation, the rank distance
 (sum of absolute per-digit differences), neighborhood generation, uniform
-sampling, and adjacency graph statistics / DOT export for spaces small
-enough to enumerate.
+sampling, adjacency-graph statistics counted in closed form for a space of
+any size, and DOT export for spaces small enough to enumerate.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from itertools import product
 from typing import Iterator
 
 _DIGIT_CHARS = string.digits + string.ascii_lowercase  # text form supports bases up to 36
-_new_object = object.__new__
 
 
 class SpaceTooLargeError(ValueError):
@@ -111,16 +110,6 @@ class Coordinate:
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {base}")
 
-    @classmethod
-    def _unchecked(cls, spec: RadixSpec, digits: tuple[int, ...]) -> "Coordinate":
-        # fast path for callers that construct digits known to be valid; the
-        # fields go straight into the instance dict, past the frozen __setattr__
-        obj = _new_object(cls)
-        fields = obj.__dict__
-        fields["spec"] = spec
-        fields["digits"] = digits
-        return obj
-
     def __str__(self) -> str:
         parts = []
         for start, end in self.spec.segment_bounds:
@@ -168,13 +157,9 @@ def neighbors(coord: Coordinate) -> list[Coordinate]:
     for i, base in enumerate(spec.position_bases):
         d = digits[i]
         if d > 0:
-            result.append(
-                Coordinate._unchecked(spec, digits[:i] + (d - 1,) + digits[i + 1 :])
-            )
+            result.append(Coordinate(spec, digits[:i] + (d - 1,) + digits[i + 1 :]))
         if d + 1 < base:
-            result.append(
-                Coordinate._unchecked(spec, digits[:i] + (d + 1,) + digits[i + 1 :])
-            )
+            result.append(Coordinate(spec, digits[:i] + (d + 1,) + digits[i + 1 :]))
     return result
 
 
@@ -221,7 +206,7 @@ def random_coordinate(spec: RadixSpec, rng: random.Random) -> Coordinate:
 def iter_space(spec: RadixSpec) -> Iterator[Coordinate]:
     """Yield every coordinate in odometer order (rightmost digit fastest)."""
     for digits in product(*map(range, spec.position_bases)):
-        yield Coordinate._unchecked(spec, digits)
+        yield Coordinate(spec, digits)
 
 
 @dataclass(frozen=True)
@@ -233,22 +218,24 @@ class HasseStats:
     degree_histogram: dict[int, int]
 
 
-def hasse_stats(spec: RadixSpec, enumeration_cap: int = 10**6) -> HasseStats:
+def hasse_stats(spec: RadixSpec) -> HasseStats:
     """Adjacency-graph statistics: every coordinate is a vertex, every
     rank-distance-1 pair an edge.
 
-    Uses the closed-form degree of each vertex; the edge count is half the
-    degree sum.  Refuses spaces larger than ``enumeration_cap``.
+    Counted, not enumerated, so any spec is answered at once.  A base-b digit
+    has one move at each of its two end values and two at each of its b - 2
+    inner values, so the degree histogram is the convolution of those
+    per-digit counts over the positions; the edge count is half the degree sum.
     """
-    if spec.size > enumeration_cap:
-        raise SpaceTooLargeError(spec.size, enumeration_cap)
-    histogram: dict[int, int] = {}
-    degree_sum = 0
-    for coord in iter_space(spec):
-        deg = degree(coord)
-        histogram[deg] = histogram.get(deg, 0) + 1
-        degree_sum += deg
-    assert degree_sum % 2 == 0
+    histogram = {0: 1}
+    for base in spec.position_bases:
+        moves = ((1, 2), (2, base - 2)) if base > 2 else ((1, 2),)
+        convolved: dict[int, int] = {}
+        for deg, count in histogram.items():
+            for step, ways in moves:
+                convolved[deg + step] = convolved.get(deg + step, 0) + count * ways
+        histogram = convolved
+    degree_sum = sum(deg * count for deg, count in histogram.items())
     return HasseStats(spec.size, degree_sum // 2, histogram)
 
 
@@ -258,29 +245,31 @@ def hasse_dot(spec: RadixSpec, enumeration_cap: int = 10**6) -> str:
 
     Vertices within a layer are ordered lexicographically by their text form
     (the layering is structural, the within-layer order cosmetic).  Each
-    undirected edge appears once.  Vertex names are the coordinates' text
-    form, so a base above 36 is refused.
+    undirected edge appears once, as the +1 move of one digit, which always
+    raises the text form.  Vertex names are the coordinates' text form, so a
+    base above 36 is refused, and so is a space of more than
+    ``enumeration_cap`` coordinates.
     """
     top = max(base for base, _ in spec.segments)
     if top > len(_DIGIT_CHARS):
         raise ValueError(f"DOT text supports bases up to {len(_DIGIT_CHARS)}, got {top}")
     if spec.size > enumeration_cap:
         raise SpaceTooLargeError(spec.size, enumeration_cap)
-    origin = Coordinate(spec, (0,) * spec.digit_count)
-    layers: dict[int, list[Coordinate]] = {}
-    for coord in iter_space(spec):
-        layers.setdefault(rank_distance(origin, coord), []).append(coord)
+    texts = {c.digits: str(c) for c in iter_space(spec)}
+    layers: dict[int, list[str]] = {}
+    for digits, text in texts.items():
+        # the digit sum is the rank distance from the all-zero origin
+        layers.setdefault(sum(digits), []).append(text)
 
     lines = ["graph hasse {", "  rankdir=BT;", "  node [shape=box];"]
     for dist in sorted(layers):
-        members = sorted(layers[dist], key=str)
-        names = " ".join(f'"{c}";' for c in members)
+        names = " ".join(f'"{name}";' for name in sorted(layers[dist]))
         lines.append(f"  {{ rank=same; {names} }}")
-    for coord in iter_space(spec):
-        a = str(coord)
-        for nb in neighbors(coord):
-            b = str(nb)
-            if a < b:  # emit each undirected edge once
+    bases = spec.position_bases
+    for digits, a in texts.items():
+        for i, d in enumerate(digits):
+            if d + 1 < bases[i]:
+                b = texts[digits[:i] + (d + 1,) + digits[i + 1 :]]
                 lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

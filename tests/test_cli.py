@@ -85,6 +85,24 @@ class TestSolve:
         assert code == 0
         assert "solved: value -4" in out
 
+    def test_solved_line_is_unchanged(self, capsys):
+        # perfbench parses this line
+        main("solve --plan C --length 10 --weight 4 --target -4 --base-seed 1901".split())
+        assert capsys.readouterr().out == (
+            "solved: value -4 at 1001001001.211011011 (probes 48978, steps 2918, restarts 0)\n"
+        )
+
+    def test_censored_line_names_the_row_weight(self, capsys):
+        # a censored plan C row holds its best pivot, here one bead over the target weight
+        code = main(
+            "solve --plan C --length 10 --weight 4 --target -5 --probe-limit 2000 --base-seed 0".split()
+        )
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "censored: value -4 at 1010011001.101002200 with weight 5, target weight 4 "
+            "(probes 2002, steps 112, restarts 0)\n"
+        )
+
     def test_writes_csv_row(self, tmp_path, capsys):
         out = tmp_path / "row.csv"
         main(

@@ -1,9 +1,9 @@
 """Pinned behaviour fingerprint.
 
-Fixed small campaigns, oracle scans and drawings, hashed.  A change
-that is meant to keep behaviour (a refactor, a speed-up) must leave every
-pin as it is; a change that is meant to alter behaviour must say so and
-re-pin.
+Fixed small campaigns, oracle scans, drawings and an adjacency graph,
+hashed.  A change that is meant to keep behaviour (a refactor, a speed-up)
+must leave every pin as it is; a change that is meant to alter behaviour
+must say so and re-pin.
 """
 import dataclasses
 import hashlib
@@ -15,6 +15,7 @@ from sawalk.cli import main
 from sawalk.harness import ExperimentConfig, improving_campaign, rows_csv, run_rows
 from sawalk.hpfold import make_problem
 from sawalk.instances import load_instances
+from sawalk.mixedradix import hasse_dot, parse_spec
 from sawalk.oracle import enumerate_optimum, report_text
 from sawalk.render import ascii_conformation, svg_conformation
 
@@ -163,3 +164,10 @@ OPTIMUM_B, OPTIMUM_T = "10100110100101100101", "0020011020010110020"
 )
 def test_literature_optimum_drawing(draw, digest):
     assert sha256(draw(OPTIMUM_B, OPTIMUM_T)) == digest
+
+
+def test_hasse_dot_with_a_base_above_ten():
+    # digits past 9 are letters, so the text order of a +1 move must still rise
+    assert sha256(hasse_dot(parse_spec("2^2.3^1.12^1"))) == (
+        "b68d14507a283d06039d1bee1baa1e22fb0052acd3b2932e4a7f0b2504422f54"
+    )

@@ -638,7 +638,10 @@ class TestTurnMoveValues:
         result = run_search(SearchConfig(seed=3, probe_limit=3000), walked)
         assert walked._turn_moves[1]
         assert walked == fresh and hash(walked) == hash(fresh)
-        fresh.spec  # the cached spec is pickled, the pivot state is not
+        # the cached spec is pickled, the pivot state is not; the result's
+        # Coordinate caches the spec's position bases
+        fresh.spec
+        fresh.spec.position_bases
         assert pickle.dumps(walked) == pickle.dumps(fresh)
         restored = pickle.loads(pickle.dumps(walked))
         assert restored == walked

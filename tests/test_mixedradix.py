@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -221,7 +223,20 @@ class TestHasse:
 
     def test_cap(self):
         with pytest.raises(SpaceTooLargeError):
-            hasse_stats(RadixSpec(((2, 30),)), enumeration_cap=10**6)
+            hasse_dot(RadixSpec(((2, 30),)), enumeration_cap=10**6)
+
+    def test_paper_space_is_counted_not_enumerated(self, monkeypatch):
+        def no_enumeration(spec):
+            raise AssertionError("the space was enumerated")
+
+        monkeypatch.setattr(mixedradix, "iter_space", no_enumeration)
+        stats = hasse_stats(RadixSpec(((2, 25), (3, 24))))
+        assert stats.vertex_count == 9_476_762_676_643_233_792
+        assert stats.edge_count == 270_087_736_284_332_163_072
+        # each binary digit has one move; k of the ternary digits sit inside
+        assert stats.degree_histogram == {
+            49 + k: comb(24, k) * 2 ** (24 - k) * 2**25 for k in range(25)
+        }
 
     def test_dot_output(self):
         text = hasse_dot(RadixSpec(((2, 1), (3, 1))))
@@ -250,6 +265,8 @@ SMALL_SPECS = [
     RadixSpec(((5, 3),)),
     RadixSpec(((2, 3), (3, 2), (4, 1))),
     RadixSpec(((2, 10),)),
+    RadixSpec(((2, 2), (3, 1), (12, 1))),
+    RadixSpec(((36, 2),)),
 ]
 
 
@@ -257,6 +274,12 @@ SMALL_SPECS = [
 def test_degree_formula_matches_enumeration(spec):
     for c in iter_space(spec):
         assert len(neighbors(c)) == degree(c)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_degree_histogram_matches_enumeration(spec):
+    counted = Counter(len(neighbors(c)) for c in iter_space(spec))
+    assert hasse_stats(spec).degree_histogram == counted
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
