@@ -50,7 +50,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--probe-limit", type=int, default=DEFAULT_PROBE_LIMIT, help="probe budget per run; checked before each whole step, so a run may exceed it by up to one neighbourhood")
     parser.add_argument("--buffer-capacity", type=int, default=DEFAULT_BUFFER_CAPACITY)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--format", choices=["csv", "json"], help="format of the --out file (default csv)")
 
 
 def _problem_from_args(args: argparse.Namespace):
@@ -75,6 +75,11 @@ def _problem_from_args(args: argparse.Namespace):
     return build_problem(record)
 
 
+def _refuse_format_without_out(args: argparse.Namespace) -> None:
+    if args.format and not args.out:
+        raise SystemExit("--format chooses the --out file's format; add --out")
+
+
 def _check_writable(out: str | None) -> None:
     """Fail before a long run rather than after it when ``out`` cannot be written."""
     if out:
@@ -90,6 +95,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _refuse_format_without_out(args)
     problem = _problem_from_args(args)
     config = SearchConfig(
         seed=args.base_seed,
@@ -100,7 +106,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     row = RunRow.from_result(result, problem.n)
     if args.out:
         single = ExperimentConfig(problem, sample_size=1)
-        Path(args.out).write_text(result_text(single, [row], args.format))
+        Path(args.out).write_text(result_text(single, [row], args.format or "csv"))
     status, where = "solved", f"{row.coord_b}.{row.coord_t}"
     if row.is_censored:
         # the best pivot seen, whose weight may be anything up to weight_cap
@@ -114,6 +120,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    _refuse_format_without_out(args)
     problem = _problem_from_args(args)
     config = ExperimentConfig(
         problem=problem,
@@ -129,7 +136,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:
         summary, rows = run_experiment(config)
     if args.out:
-        Path(args.out).write_text(result_text(config, rows, args.format))
+        Path(args.out).write_text(result_text(config, rows, args.format or "csv"))
     if args.improve:
         print(f"final bound {bound} after {len(rows)} runs")
     print(f"runs {summary.sample_size}  censored {summary.censored_count}")
@@ -163,9 +170,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_hasse(args: argparse.Namespace) -> int:
+    if args.cap is not None and not args.dot:
+        raise SystemExit("--cap bounds --dot only; add --dot or drop --cap")
+    if args.cap is not None and args.cap < 1:
+        raise SystemExit(f"--cap must be at least 1, got {args.cap}")
     spec = parse_spec(args.spec)
     if args.dot:
-        _write_or_print(hasse_dot(spec, enumeration_cap=args.cap), args.out)
+        _write_or_print(hasse_dot(spec, enumeration_cap=args.cap or 10**6), args.out)
     else:
         stats = hasse_stats(spec)
         histogram = " ".join(
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     hasse = sub.add_parser("hasse", help="adjacency-graph statistics or DOT export")
     hasse.add_argument("--spec", required=True, help="space spec, e.g. 2^2.3^2")
     hasse.add_argument("--dot", action="store_true", help="emit DOT text instead of statistics")
-    hasse.add_argument("--cap", type=int, default=10**6, help="bounds --dot only: the most coordinates it enumerates (statistics are counted, not enumerated, for a space of any size)")
+    hasse.add_argument("--cap", type=int, help="with --dot: the most coordinates it enumerates, at least 1 (default 10**6; statistics are counted, not enumerated, for a space of any size)")
     hasse.add_argument("--out", help="write output to this file")
     hasse.set_defaults(func=_cmd_hasse)
 

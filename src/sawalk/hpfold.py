@@ -24,14 +24,16 @@ against the pivot's head.  The next pivot is one of those moves, so its
 boards are derived from the last pivot's and the move; only the first
 pivot, a restart, and a move that leaves the last pivot's layout are built
 from their turns.  The moves are found by their candidate's digits, in a
-table built next to the candidate list.
+table built next to the candidate list and held in one module slot, so no
+walk writes to its problem.  The plan picks its objective once per run,
+when the engine binds it.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, compress, islice
 from operator import add, and_, or_
 from typing import Callable, Optional, Sequence, Union
@@ -147,6 +149,14 @@ def _fold_analysis(turns: Union[bytes, tuple[int, ...]]) -> tuple[Optional[int],
             append((i, j) if i < j else (j, i))
     pairs.sort()
     return None, 0, tuple(pairs)
+
+
+# (boards, {candidate: (k, r)}) of the latest feasible plan A pivot, or
+# (None, {}).  An entry values the point that keys it, whose bytes name its
+# colours and turns: whichever problem or run left the table, a hit is that
+# point's true value and a miss reads the record.  One assignment replaces
+# it, so a reader always sees a whole table.
+_turn_moves = (None, {})
 
 
 def _unpack(p: int) -> tuple[int, int]:
@@ -423,18 +433,19 @@ class HPProblem:
     fixed_ternary: Optional[tuple[int, ...]] = None
     weight_cap: int = 0
 
-    @cached_property
+    @property
     def spec(self) -> RadixSpec:
+        """The point space, built on each read: once per result and observer event."""
         return RadixSpec(((2, self.n), (3, self.n - 1)))
 
-    @cached_property
+    @property
     def objective(self) -> Callable[[bytes], int]:
         """Energy of a point's fold (-H-H contacts), or its penalty.
 
-        Plan A values the turn moves of its latest pivot from that pivot's
+        Plan A values the turn moves of the latest pivot from that pivot's
         bitboards and everything else from the fold record; plans B and C
-        always read the record.  The choice is made once per problem, so no
-        probe pays for a plan test.
+        always read the record.  The choice is made once per run, when the
+        engine binds this objective, so no probe pays for a plan test.
         """
         return self._turn_move_objective if self.plan == "A" else self._record_objective
 
@@ -446,25 +457,12 @@ class HPProblem:
             return default_penalty(n, first, collisions)
         return -_hh_count(pairs, digits)
 
-    # (boards, {candidate: (k, r)}) of the latest plan A pivot, empty until
-    # admissible_neighbors meets a feasible pivot.  Not annotated, so not a
-    # dataclass field: equality and hashing ignore the instance copy, and
-    # __getstate__ leaves it out of pickles.
-    _turn_moves = (None, {})
-
     def _turn_move_objective(self, digits: bytes) -> int:
-        boards, moves = self._turn_moves
+        boards, moves = _turn_moves
         move = moves.get(digits)
         if move is None:
             return self._record_objective(digits)
         return boards.value(*move)
-
-    def __getstate__(self) -> dict:
-        # the bound objective and the pivot's boards are rebuilt on use
-        state = dict(self.__dict__)
-        state.pop("objective", None)
-        state.pop("_turn_moves", None)
-        return state
 
     def admissible_neighbors(self, digits: bytes) -> list[bytes]:
         """Distance-1 moves the plan admits, position-major, -1 before +1.
@@ -472,6 +470,7 @@ class HPProblem:
         The engine's random permutation indexes into this list, so its order
         is part of every walk's behaviour.
         """
+        global _turn_moves
         n = self.n
         scratch = bytearray(digits)
         # a bound snapshot of the scratch copies it in C, faster than bytes()
@@ -501,7 +500,7 @@ class HPProblem:
             # boards from that pivot's; the first pivot, a restart, and a
             # move that leaves the old layout build them from the turns
             bits, turns = digits[:n], digits[n:]
-            boards, moves = self._turn_moves
+            boards, moves = _turn_moves
             move = moves.get(digits)
             boards = boards.moved(bits, *move) if move is not None else None
             if boards is None:
@@ -510,7 +509,7 @@ class HPProblem:
             if boards is not None:
                 turned = [(k, r) for k, d in enumerate(turns) for r in _MOVE_ROTATIONS[d]]
                 moves = dict(zip(result, turned))
-            object.__setattr__(self, "_turn_moves", (boards, moves))
+            _turn_moves = (boards, moves)
         return result
 
     def is_solution(self, digits: bytes, value: int) -> bool:

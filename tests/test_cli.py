@@ -219,6 +219,21 @@ class TestSolve:
         assert code == 1 and "censored" in out
 
 
+@pytest.mark.parametrize("command, flags", [("solve", ""), ("experiment", "--seeds 2")], ids=["solve", "experiment"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_without_out_is_refused_before_the_run(monkeypatch, capsys, command, flags, fmt):
+    # with no --out there is no file for --format to shape
+    def no_run(*args):
+        raise AssertionError("the run started before --format was checked")
+
+    monkeypatch.setattr(cli, "run_search", no_run)
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    with pytest.raises(SystemExit) as err:
+        main(f"{command} --plan C --length 6 --weight 3 --target -1 {flags} --format {fmt}".split())
+    assert err.value.code == "--format chooses the --out file's format; add --out"
+    assert capsys.readouterr().out == ""
+
+
 class TestExperiment:
     def test_zero_parallelism_refused(self):
         with pytest.raises(SystemExit, match="parallelism must be at least 1"):
@@ -432,6 +447,23 @@ class TestHasse:
     def test_dot_base_above_36_is_one_line(self):
         with pytest.raises(SystemExit, match="DOT text supports bases up to 36, got 40"):
             main("hasse --spec 40^1 --dot".split())
+
+    def test_cap_without_dot_is_refused(self, capsys):
+        # statistics are counted, so a cap would bound nothing
+        with pytest.raises(SystemExit) as err:
+            main("hasse --spec 2^2 --cap 0".split())
+        assert err.value.code == "--cap bounds --dot only; add --dot or drop --cap"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_refused_before_the_work(self, monkeypatch, cap):
+        def no_work(spec, enumeration_cap):
+            raise AssertionError("the graph was built before --cap was checked")
+
+        monkeypatch.setattr(cli, "hasse_dot", no_work)
+        with pytest.raises(SystemExit) as err:
+            main(f"hasse --spec 2^2 --dot --cap {cap}".split())
+        assert err.value.code == f"--cap must be at least 1, got {cap}"
 
 
 class TestRender:

@@ -25,6 +25,7 @@ from sawalk.instances import load_instances
 from sawalk.mixedradix import Coordinate, neighbors, rank_distance
 
 LITERATURE = Path(__file__).resolve().parent.parent / "instances" / "hp_literature.instances"
+HP10 = LITERATURE.with_name("hp10.instances")
 
 
 def point(coord_b, coord_t):
@@ -501,7 +502,7 @@ class TestTurnMoveValues:
     @staticmethod
     def _assert_table_holds(problem, candidates):
         # one entry per candidate, keyed by its digits
-        assert list(problem._turn_moves[1]) == candidates
+        assert list(hpfold._turn_moves[1]) == candidates
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -560,14 +561,14 @@ class TestTurnMoveValues:
         bits = (1,) * 8
         problem = make_problem("A", coord_b=bits, energy_target=0)
         candidates = problem.admissible_neighbors(point(bits, self.RING))
-        assert problem._turn_moves[0].stride == 6  # the layout of m = 1
+        assert hpfold._turn_moves[0].stride == 6  # the layout of m = 1
         # turning right instead of straight at bead 3 swings beads 4..7 up to
         # (0, 2), (-1, 2), (-2, 2) and (-2, 1), out of the square
         stretched = candidates[4]
         assert stretched == point(bits, (1, 0, 0, 1, 0, 2, 0))
         candidates = problem.admissible_neighbors(stretched)
         # boards derived in the old layout would misplace the moved tail
-        assert problem._turn_moves[0].stride == 10  # built again, for m = 2
+        assert hpfold._turn_moves[0].stride == 10  # built again, for m = 2
         self._assert_table_holds(problem, candidates)
         self._assert_exact(problem, candidates)
         # the first move turns the whole fold about bead 0, so it is feasible
@@ -585,7 +586,7 @@ class TestTurnMoveValues:
         assert decode_fold(colliding[8:]).first_collision_index == 5
         candidates = problem.admissible_neighbors(colliding)
         # a colliding pivot has no boards, and its moves read the record
-        assert problem._turn_moves == (None, {})
+        assert hpfold._turn_moves == (None, {})
         self._assert_exact(problem, candidates)
         # the move back is a new pivot, built from its turns, and the walk
         # goes on deriving boards from there
@@ -609,7 +610,7 @@ class TestTurnMoveValues:
         # the table is keyed by digits, not identity: a copy is valued from
         # the table and still equals the record's value
         copies = [c[:16] + c[16:] for c in later]
-        assert all(c is not d and c in problem._turn_moves[1] for c, d in zip(copies, later))
+        assert all(c is not d and c in hpfold._turn_moves[1] for c, d in zip(copies, later))
         self._assert_exact(problem, copies)
         self._assert_exact(other, foreign)
         # another problem's coordinates, valued by this one, read the record
@@ -623,7 +624,7 @@ class TestTurnMoveValues:
         problem = make_problem("A", coord_b=bits, energy_target=0)
         pivot = point(bits, (2,) * 129)
         candidates = problem.admissible_neighbors(pivot)
-        assert problem._turn_moves == (None, {})
+        assert hpfold._turn_moves == (None, {})
         self._assert_exact(problem, candidates)
         # folded into a 10-wide serpentine the same chain fits, and stays exact
         serpentine = ([2] * 9 + [1, 1] + [2] * 8 + [0, 0]) * 7
@@ -636,16 +637,38 @@ class TestTurnMoveValues:
         walked = make_problem("A", coord_b="10100110100101100101", energy_target=-9)
         fresh = make_problem("A", coord_b="10100110100101100101", energy_target=-9)
         result = run_search(SearchConfig(seed=3, probe_limit=3000), walked)
-        assert walked._turn_moves[1]
+        assert hpfold._turn_moves[1]
         assert walked == fresh and hash(walked) == hash(fresh)
-        # the cached spec is pickled, the pivot state is not; the result's
-        # Coordinate caches the spec's position bases
-        fresh.spec
-        fresh.spec.position_bases
         assert pickle.dumps(walked) == pickle.dumps(fresh)
         restored = pickle.loads(pickle.dumps(walked))
         assert restored == walked
         assert run_search(SearchConfig(seed=3, probe_limit=3000), restored) == result
+
+    @pytest.mark.parametrize("index", range(3), ids=["A", "B", "C"])
+    def test_walk_writes_nothing_to_its_problem(self, index):
+        problem = load_instances(HP10)[index]
+        fresh = load_instances(HP10)[index]
+        before = dict(vars(problem))
+        run_search(SearchConfig(seed=4, probe_limit=3000), problem)
+        assert vars(problem) == before
+        assert pickle.dumps(problem) == pickle.dumps(fresh)
+
+    def test_stale_table_gives_only_true_values(self):
+        # Q has P's colours, so a table that P's walk leaves gives Q real hits
+        p = load_instances(LITERATURE)[0]
+        q = replace(p, energy_target=p.energy_target + 1)
+        r = make_problem("A", coord_b="01011010010110100101", energy_target=-7)
+        pivot = point(p.fixed_binary, _grown_turns(random.Random(12), 20))
+        candidates = p.admissible_neighbors(pivot)
+        assert all(c in hpfold._turn_moves[1] for c in candidates)
+        self._assert_exact(q, candidates)
+        # whatever the last walk left, a walk equals the same walk from an empty table
+        for seed in range(4):
+            for problem in (p, q, r):
+                config = SearchConfig(seed=seed, probe_limit=20_000)
+                after_stale = run_search(config, problem)
+                hpfold._turn_moves = (None, {})
+                assert run_search(config, problem) == after_stale
 
     def test_walk_leaves_only_its_draws_in_the_fold_cache(self):
         # every pivot is a new fold, placed on bitboards without the record;
