@@ -13,7 +13,7 @@ from sawalk.engine import (
     VisitedBuffer,
     run_search,
 )
-from sawalk.harness import ExperimentConfig, ExperimentStats, run_experiment, stats
+from sawalk.harness import ExperimentConfig, ExperimentStats, stats
 from sawalk.hpfold import (
     FoldOutcome,
     HPProblem,
@@ -63,7 +63,6 @@ __all__ = [
     "parse_spec",
     "random_coordinate",
     "rank_distance",
-    "run_experiment",
     "run_search",
     "stats",
     "target_energy",

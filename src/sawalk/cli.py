@@ -26,7 +26,7 @@ from sawalk.harness import (
     aggregate,
     improving_campaign,
     result_text,
-    run_experiment,
+    run_rows,
 )
 from sawalk.instances import FIELDS, build_problem, load_instances
 from sawalk.mixedradix import hasse_dot, hasse_stats, parse_spec
@@ -75,11 +75,6 @@ def _problem_from_args(args: argparse.Namespace):
     return build_problem(record)
 
 
-def _refuse_format_without_out(args: argparse.Namespace) -> None:
-    if args.format and not args.out:
-        raise SystemExit("--format chooses the --out file's format; add --out")
-
-
 def _check_writable(out: str | None) -> None:
     """Fail before a long run rather than after it when ``out`` cannot be written."""
     if out:
@@ -95,7 +90,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    _refuse_format_without_out(args)
     problem = _problem_from_args(args)
     config = SearchConfig(
         seed=args.base_seed,
@@ -120,7 +114,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _refuse_format_without_out(args)
     problem = _problem_from_args(args)
     config = ExperimentConfig(
         problem=problem,
@@ -132,9 +125,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     if args.improve:
         bound, rows = improving_campaign(config)
-        summary = aggregate(config, rows)
     else:
-        summary, rows = run_experiment(config)
+        rows = run_rows(config)
+    summary = aggregate(config, rows)
     if args.out:
         Path(args.out).write_text(result_text(config, rows, args.format or "csv"))
     if args.improve:
@@ -161,11 +154,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     problem = _problem_from_args(args)
     report = enumerate_optimum(problem, domain_cap=args.domain_cap, workers=args.workers)
-    text = report_text(report)
-    if args.threshold is not None:
-        count = report.count_at_or_below(args.threshold)
-        text += f"count-at-or-below[{args.threshold}] = {count}\n"
-    _write_or_print(text, args.out)
+    _write_or_print(report_text(report, args.threshold), args.out)
     return 0
 
 
@@ -252,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "format", None) and not args.out:
+        raise SystemExit("--format chooses the --out file's format; add --out")
     created = args.out and not Path(args.out).exists()
     try:
         _check_writable(args.out)

@@ -198,12 +198,6 @@ def aggregate(config: ExperimentConfig, rows: Sequence[RunRow]) -> ExperimentSta
     )
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[ExperimentStats, list[RunRow]]:
-    """Run the whole campaign; its statistics and rows."""
-    rows = run_rows(config)
-    return aggregate(config, rows), rows
-
-
 def improving_campaign(config: ExperimentConfig) -> tuple[int, list[RunRow]]:
     """Chain runs that ratchet the problem's energy target downward.
 

@@ -301,8 +301,9 @@ def enumerate_optimum(
         return merge_reports([f.result() for f in futures])
 
 
-def report_text(report: OracleReport) -> str:
-    """Serialize a report as line-oriented key=value text."""
+def report_text(report: OracleReport, threshold: int | None = None) -> str:
+    """Serialize a report as line-oriented key=value text; with a
+    ``threshold``, a last line counts the pairs at or below it."""
     lines = [
         f"evaluations = {report.evaluations}",
         f"min-value = {report.min_value}",
@@ -311,11 +312,13 @@ def report_text(report: OracleReport) -> str:
         lines.append(f"count[{value}] = {report.histogram[value]}")
     for colors, turns in report.argmin:
         lines.append(f"argmin = {colors} {turns}")
+    if threshold is not None:
+        lines.append(f"count-at-or-below[{threshold}] = {report.count_at_or_below(threshold)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> OracleReport:
-    """Read back ``report_text`` output, including the CLI's threshold lines.
+    """Read back ``report_text`` output, including its threshold line.
 
     A ``count-at-or-below[t] = c`` line is checked against the histogram
     and rejected when they disagree.  So is text without its ``evaluations``

@@ -76,6 +76,13 @@ def test_empty_instance_path_is_refused(command, flags):
     assert err.value.code == "--instance needs a file path"
 
 
+@pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+def test_target_is_required_without_instance(command):
+    with pytest.raises(SystemExit) as err:
+        main([command, *"--plan C --length 6 --weight 3".split()])
+    assert err.value.code == "--target is required without --instance"
+
+
 class TestSolve:
     def test_plan_c_run(self, capsys):
         code = main(
@@ -227,7 +234,7 @@ def test_format_without_out_is_refused_before_the_run(monkeypatch, capsys, comma
         raise AssertionError("the run started before --format was checked")
 
     monkeypatch.setattr(cli, "run_search", no_run)
-    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "run_rows", no_run)
     with pytest.raises(SystemExit) as err:
         main(f"{command} --plan C --length 6 --weight 3 --target -1 {flags} --format {fmt}".split())
     assert err.value.code == "--format chooses the --out file's format; add --out"
@@ -299,7 +306,7 @@ class TestExperiment:
         def no_campaign(config):
             raise AssertionError("the campaign ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_experiment", no_campaign)
+        monkeypatch.setattr(cli, "run_rows", no_campaign)
         out = tmp_path / "nosuch" / "x.csv"
         with pytest.raises(SystemExit, match="No such file or directory") as err:
             main(f"experiment --plan C --length 6 --weight 3 --target -1 --seeds 2 --out {out}".split())
@@ -326,6 +333,18 @@ class TestExperiment:
         assert code == 1
         assert len(parse_rows_csv(out.read_text())) == 3
         assert capsys.readouterr().err == ""
+
+    def test_summary_without_stepped_runs(self, capsys):
+        # every weight-0 4-bead fold is a solution at its draw, so no run takes a step
+        code = main("experiment --plan C --length 4 --weight 0 --target 0 --seeds 3".split())
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "runs 3  censored 0\n"
+            "unique solutions 2  beyond target 0\n"
+            "walkLength: median 0 mean 0.0 stdev 0.0 min 0 max 0\n"
+            "cntProbe: median 1 mean 1.0 stdev 0.0 min 1 max 1\n"
+            "probesPerStep: (no stepped runs)\n"
+        )
 
     def test_improve_mode(self, capsys):
         code = main(

@@ -171,3 +171,45 @@ def test_hasse_dot_with_a_base_above_ten():
     assert sha256(hasse_dot(parse_spec("2^2.3^1.12^1"))) == (
         "b68d14507a283d06039d1bee1baa1e22fb0052acd3b2932e4a7f0b2504422f54"
     )
+
+
+def test_oracle_threshold_report_cli(capsys):
+    # the same bytes as the benchmark's oracle-c10 pin, threshold line included
+    main("oracle --plan C --length 10 --weight 4 --target -4 --threshold -4".split())
+    assert sha256(capsys.readouterr().out) == (
+        "bca1b7618c88f9621d51bd53c9605ca4f810cab964ac03ddb5191642479f10dd"
+    )
+
+
+def test_experiment_json_cli(tmp_path, capsys):
+    out = tmp_path / "rows.json"
+    main([
+        *"experiment --plan C --length 10 --weight 4 --target -3 --seeds 20".split(),
+        "--base-seed", str(BASE_SEED), "--format", "json", "--out", str(out),
+    ])
+    # the last line names the --out path, so the pin stops before it
+    summary, written = capsys.readouterr().out.rsplit("rows written to ", 1)
+    assert written == f"{out}\n"
+    assert sha256(summary) == (
+        "ebeb0d914ff25f0ecb5667d5fea30f1e702028bf55e95e04d2ab267028bd6b97"
+    )
+    assert sha256(out.read_text()) == (
+        "23a97570f145dda0b988804d80dbe4481f6e07f5df96bdce3f00b4d11816b893"
+    )
+
+
+def test_experiment_improve_cli(capsys):
+    # the bound ratchets from -2 to -3
+    main("experiment --plan C --length 10 --weight 4 --target -2 --seeds 20 --improve".split())
+    out = capsys.readouterr().out
+    assert out.startswith("final bound -3 after 20 runs\n")
+    assert sha256(out) == "795a3498abcb64c73955e00e9f58a61cb9a5dbbdccc2ce9af76b92aebb634f5d"
+
+
+def test_solve_json_cli(tmp_path, capsys):
+    out = tmp_path / "row.json"
+    main(f"solve --plan C --length 10 --weight 4 --target -4 --format json --out {out}".split())
+    capsys.readouterr()
+    assert sha256(out.read_text()) == (
+        "dd04414da9bbfba26fce1b2a5dbde7b65a57e61bb5d6183a315e2db8c4356796"
+    )

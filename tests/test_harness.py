@@ -17,7 +17,6 @@ from sawalk.harness import (
     parse_rows_csv,
     result_text,
     rows_csv,
-    run_experiment,
     run_rows,
     stats,
 )
@@ -172,14 +171,16 @@ class TestCampaign:
         # weight-0 4-bead chains: every initial fold is feasible at value 0
         problem = make_problem("C", n=4, weight_target=0, energy_target=0)
         config = ExperimentConfig(problem, sample_size=5, base_seed=3)
-        summary, rows = run_experiment(config)
+        rows = run_rows(config)
+        summary = aggregate(config, rows)
         assert all(row.walk_length == 0 for row in rows)
         assert summary.probes_per_step is None
         assert summary.walk_length.max == 0
 
     def test_censored_rows_counted_but_not_solutions(self):
         config = ExperimentConfig(plan_c(), sample_size=6, base_seed=11, probe_limit=5)
-        summary, rows = run_experiment(config)
+        rows = run_rows(config)
+        summary = aggregate(config, rows)
         assert summary.censored_count == 6
         assert summary.unique_solutions == 0
         assert summary.beyond_target == 0
@@ -187,7 +188,8 @@ class TestCampaign:
 
     def test_beyond_target_counts_strictly_better(self):
         config = ExperimentConfig(plan_c(-3), sample_size=100, base_seed=1901)
-        summary, rows = run_experiment(config)
+        rows = run_rows(config)
+        summary = aggregate(config, rows)
         better = [r for r in rows if not r.is_censored and r.value < -3]
         assert summary.beyond_target == len(better) >= 1
 
@@ -275,7 +277,8 @@ class TestSerialization:
 
     def test_json_payload(self):
         config = ExperimentConfig(plan_c(-3), sample_size=4, base_seed=2)
-        summary, rows = run_experiment(config)
+        rows = run_rows(config)
+        summary = aggregate(config, rows)
         payload = json.loads(experiment_json(summary, rows))
         assert payload["stats"]["sampleSize"] == 4
         assert set(payload["rows"][0]) == set(CSV_COLUMNS)
@@ -284,7 +287,8 @@ class TestSerialization:
     def test_output_file_written(self, tmp_path):
         out = tmp_path / "rows.csv"
         config = ExperimentConfig(plan_c(-3), sample_size=3, base_seed=2)
-        summary, rows = run_experiment(config)
+        rows = run_rows(config)
+        summary = aggregate(config, rows)
         out.write_text(result_text(config, rows, "csv"))
         assert parse_rows_csv(out.read_text()) == rows
 
@@ -319,7 +323,8 @@ class TestSerialization:
 class TestMetricStatsShape:
     def test_aggregate_matches_manual_stats(self):
         config = ExperimentConfig(plan_c(-3), sample_size=10, base_seed=4)
-        summary, rows = run_experiment(config)
+        rows = run_rows(config)
+        summary = aggregate(config, rows)
         assert summary.walk_length == stats([r.walk_length for r in rows])
         assert summary.cnt_probe == stats([r.cnt_probe for r in rows])
         stepped = [r.probes_per_step for r in rows if r.walk_length > 0]

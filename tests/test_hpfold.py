@@ -191,6 +191,10 @@ class TestTargetEnergy:
         values = [target_energy(n) for n in range(3, 40)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_too_short_chain_is_refused(self):
+        with pytest.raises(ValueError, match="chains need at least 3 beads"):
+            target_energy(2)
+
 
 class TestMakeProblem:
     def test_plan_a(self):
@@ -245,6 +249,31 @@ class TestMakeProblem:
     def test_weight_cap_override(self):
         p = make_problem("C", n=10, weight_target=4, energy_target=-4, weight_cap=6)
         assert p.weight_cap == 6
+
+    @pytest.mark.parametrize(
+        "plan, fields, message",
+        [
+            ("A", dict(n=10, energy_target=-4), "plan A requires the binary segment"),
+            (
+                "B",
+                dict(coord_b="1001001001", coord_t="211011011", weight_target=4, energy_target=-4),
+                "plan B searches the colors and admits no binary segment",
+            ),
+            ("B", dict(coord_t="211011011", energy_target=-4), "plan B requires a weight target"),
+            ("C", dict(weight_target=4, energy_target=-4), "plan C requires the chain length"),
+            ("C", dict(n=10, weight_target=4), "an energy target is required"),
+            ("A", dict(n=5, coord_b="1010", energy_target=0), "binary segment has 4 digits, expected 5"),
+            ("B", dict(n=5, coord_t="21", weight_target=2, energy_target=0), "ternary segment has 2 digits, expected 4"),
+            ("C", dict(n=10, weight_target=4, energy_target=-4, weight_cap=3), "weight cap below the weight target"),
+        ],
+        ids=[
+            "A-without-colours", "B-with-colours", "B-without-weight", "C-without-length",
+            "no-energy-target", "A-colours-shorter-than-n", "B-turns-shorter-than-n", "cap-below-weight",
+        ],
+    )
+    def test_refusals(self, plan, fields, message):
+        with pytest.raises(ValueError, match=message):
+            make_problem(plan, **fields)
 
 
 class TestPlanMoves:

@@ -41,6 +41,11 @@ class TestSpec:
         assert parse_spec("2^2.3^2") == BT22
         assert parse_spec(str(BT22)) == BT22
 
+    @pytest.mark.parametrize("text", ["2", "2^2.3"])
+    def test_parse_spec_refuses_a_segment_without_its_length(self, text):
+        with pytest.raises(ValueError, match="expected BASE\\^LENGTH"):
+            parse_spec(text)
+
     @pytest.mark.parametrize("segments", [(), ((1, 3),), ((2, 0),)])
     def test_invalid_specs(self, segments):
         with pytest.raises(ValueError):

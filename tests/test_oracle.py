@@ -510,6 +510,30 @@ class TestReportSerialization:
         _, report = plan_c_small
         assert parse_report(report_text(report)) == report
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            make_problem("A", coord_b="100101", energy_target=0),
+            make_problem("B", coord_t="21101", weight_target=3, energy_target=0),
+            make_problem("C", n=6, weight_target=3, energy_target=0),
+        ],
+        ids="ABC",
+    )
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_threshold_line_round_trip(self, problem, offset):
+        report = enumerate_optimum(problem)
+        threshold = report.min_value + offset
+        count = report.count_at_or_below(threshold)
+        text = report_text(report, threshold)
+        assert text.endswith(f"\ncount-at-or-below[{threshold}] = {count}\n")
+        read = parse_report(text)
+        assert read == report
+        assert read.count_at_or_below(threshold) == count
+
+    def test_merging_nothing_is_refused(self):
+        with pytest.raises(ValueError, match="nothing to merge"):
+            merge_reports([])
+
     def test_text_shape(self):
         report = OracleReport((("110", "22"),), {-2: 1, 0: 40, 3: 13})
         text = report_text(report)
