@@ -28,6 +28,7 @@ from sawalk.harness import (
     result_text,
     run_rows,
 )
+from sawalk.hpfold import PLANS
 from sawalk.instances import FIELDS, build_problem, load_instances
 from sawalk.mixedradix import hasse_dot, hasse_stats, parse_spec
 from sawalk.oracle import DEFAULT_DOMAIN_CAP, enumerate_optimum, report_text
@@ -35,13 +36,13 @@ from sawalk.render import ascii_conformation, svg_conformation
 
 
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--plan", choices=["A", "B", "C"], help="search formulation")
+    parser.add_argument("--plan", choices=PLANS, help="search formulation")
     parser.add_argument("--length", type=int, help="chain length n")
     parser.add_argument("--weight", type=int, help="target number of H beads")
     parser.add_argument("--target", type=int, help="energy target (<= 0)")
     parser.add_argument("--coord-b", help="fixed binary color segment (plan A)")
     parser.add_argument("--coord-t", help="fixed ternary turn segment (plan B)")
-    parser.add_argument("--weight-cap", type=int, help="admissible weight ceiling (default weight+1)")
+    parser.add_argument("--weight-cap", type=int, help="admissible weight ceiling, plans B and C (default weight+1)")
     parser.add_argument("--instance", help="read the problem from an instance file")
     parser.add_argument("--index", type=int, help="record index within --instance (default 0)")
 
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(experiment)
     _add_run_args(experiment)
     experiment.add_argument("--seeds", type=int, default=1000, help="number of runs")
-    experiment.add_argument("--parallelism", type=int, default=1, help="worker processes, at most one per CPU and one per run (ignored with --improve)")
+    experiment.add_argument("--parallelism", type=int, default=1, help="worker processes, at most one per CPU and one per run (refused above 1 with --improve, whose runs each depend on the last)")
     experiment.add_argument("--improve", action="store_true", help="lower the problem's energy target to each run that beats it")
     experiment.add_argument("--out", help="write result rows to this file")
     experiment.set_defaults(func=_cmd_experiment)

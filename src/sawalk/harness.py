@@ -203,8 +203,11 @@ def improving_campaign(config: ExperimentConfig) -> tuple[int, list[RunRow]]:
 
     Every run stops at the current target or better (subject to the weight
     test); an uncensored run that beats the target strictly lowers it for
-    the runs that follow.  Returns the final target and all rows.
+    the runs that follow.  Returns the final target and all rows.  The runs
+    are chained, so a parallelism above 1 is refused before the first.
     """
+    if config.parallelism > 1:
+        raise ValueError(f"an improving campaign runs one run at a time, got parallelism {config.parallelism}")
     rows: list[RunRow] = []
     for index in range(config.sample_size):
         row = run_one(config, index)

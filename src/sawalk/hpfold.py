@@ -25,7 +25,7 @@ boards are derived from the last pivot's and the move; only the first
 pivot, a restart, and a move that leaves the last pivot's layout are built
 from their turns.  The moves are found by their candidate's digits, in a
 table built next to the candidate list and held in one module slot, so no
-walk writes to its problem.  The plan picks its objective once per run,
+walk writes to its problem.  A problem picks its objective once per run,
 when the engine binds it.
 """
 from __future__ import annotations
@@ -419,13 +419,13 @@ class HPProblem:
     """One folding search instance: objective, move filter, and stop test.
 
     Its points are bytes: n binary color digits, then n-1 ternary turn
-    digits.  The plan decides which segment the walk may move in: 'A' turns
-    only, 'B' colors only, 'C' both.  Color moves are admissible only while
-    the resulting weight stays at or below ``weight_cap``; the stop test
-    demands the exact target weight.
+    digits.  The walk moves only in a segment that is not fixed: plan A
+    fixes the colors, plan B the fold, plan C neither.  Color moves are
+    admissible only while the resulting weight stays at or below
+    ``weight_cap``; the stop test demands the exact target weight.
     """
 
-    plan: str
+    plan: str  # the letter make_problem read, for readers; nothing here branches on it
     n: int
     weight_target: int
     energy_target: int
@@ -442,12 +442,12 @@ class HPProblem:
     def objective(self) -> Callable[[bytes], int]:
         """Energy of a point's fold (-H-H contacts), or its penalty.
 
-        Plan A values the turn moves of the latest pivot from that pivot's
-        bitboards and everything else from the fold record; plans B and C
+        Fixed colors (plan A) value the turn moves of the latest pivot from
+        its bitboards and everything else from the fold record; free colors
         always read the record.  The choice is made once per run, when the
-        engine binds this objective, so no probe pays for a plan test.
+        engine binds this objective, so no probe pays for it.
         """
-        return self._turn_move_objective if self.plan == "A" else self._record_objective
+        return self._record_objective if self.fixed_binary is None else self._turn_move_objective
 
     def _record_objective(self, digits: bytes) -> int:
         # unchecked: points come from random_coordinate and admissible_neighbors
@@ -477,7 +477,7 @@ class HPProblem:
         snapshot = memoryview(scratch).tobytes
         result: list[bytes] = []
         append = result.append
-        if self.plan in ("B", "C"):
+        if self.fixed_binary is None:
             below_cap = sum(digits[:n]) < self.weight_cap
             for i in range(n):
                 d = digits[i]
@@ -485,7 +485,7 @@ class HPProblem:
                     scratch[i] = 1 - d
                     append(snapshot())
                     scratch[i] = d
-        if self.plan in ("A", "C"):
+        if self.fixed_ternary is None:
             for i in range(n, 2 * n - 1):
                 d = digits[i]
                 if d > 0:
@@ -495,7 +495,7 @@ class HPProblem:
                     scratch[i] = d + 1
                     append(snapshot())
                 scratch[i] = d
-        if self.plan == "A":
+        if self.fixed_binary is not None:
             # a pivot that one of the last pivot's moves made derives its
             # boards from that pivot's; the first pivot, a restart, and a
             # move that leaves the old layout build them from the turns
@@ -514,22 +514,12 @@ class HPProblem:
 
     def is_solution(self, digits: bytes, value: int) -> bool:
         """Stop test: value at or below the energy target and exact target weight."""
-        if value > self.energy_target:
-            return False
-        if self.plan == "A":
-            return True
-        return sum(digits[: self.n]) == self.weight_target
+        return value <= self.energy_target and sum(digits[: self.n]) == self.weight_target
 
     def random_coordinate(self, rng: random.Random) -> bytes:
-        """Initial or restart draw honoring the plan's fixed segment and weight."""
-        if self.plan == "A":
-            bits = self.fixed_binary
-        else:
-            bits = sample_weight_positions(rng, self.n, self.weight_target)
-        if self.plan == "B":
-            turns = self.fixed_ternary
-        else:
-            turns = tuple(rng.randrange(3) for _ in range(self.n - 1))
+        """Initial or restart draw: a fixed segment is kept, a free one drawn at the target weight."""
+        bits = self.fixed_binary or sample_weight_positions(rng, self.n, self.weight_target)
+        turns = self.fixed_ternary or tuple(rng.randrange(3) for _ in range(self.n - 1))
         return bytes(bits + turns)
 
     def solution_key(self, coord_b: str, coord_t: str) -> tuple[str, str]:
@@ -538,11 +528,11 @@ class HPProblem:
         The first turn digit only orients the whole fold on the grid, so
         where the fold is searched (plans A and C) it is forced to 2: the
         three rotations of one conformation share a key while mirror images
-        keep theirs.  Plan B reports its fixed fold verbatim.  Texts that do
-        not fit the problem are refused.
+        keep theirs.  A fixed fold (plan B) is reported verbatim.  Texts that
+        do not fit the problem are refused.
         """
         _check_segments(coord_b, coord_t, self.n)
-        if self.plan == "B":
+        if self.fixed_ternary is not None:
             return coord_b, coord_t
         return coord_b, "2" + coord_t[1:]
 
@@ -558,12 +548,13 @@ def make_problem(
 ) -> HPProblem:
     """Validate and assemble an HPProblem for one of the three plans.
 
+    The one reader of the plan letter, which it turns into fixed segments.
     Plan A requires the binary segment (its weight becomes the target
-    weight), plan B the ternary segment plus a weight target, and plan C
-    fixes neither; a segment the plan searches may not be fixed.  The
-    weight cap defaults to one above the target.  The energy target is
-    never checked for achievability; unreachable targets simply leave runs
-    censored.
+    weight) and admits no weight cap, plan B the ternary segment plus a
+    weight target, and plan C fixes neither; a segment the plan searches
+    may not be fixed.  The weight cap defaults to one above the target.
+    The energy target is never checked for achievability; unreachable
+    targets simply leave runs censored.
     """
     plan = plan.strip().upper()
     if plan not in PLANS:
@@ -577,6 +568,8 @@ def make_problem(
             raise ValueError("plan A requires the binary segment")
         if fixed_t is not None:
             raise ValueError("plan A searches the fold and admits no ternary segment")
+        if weight_cap is not None:
+            raise ValueError("plan A searches the fold and admits no weight cap")
         if n is None:
             n = len(fixed_b)
         w = weight(fixed_b)

@@ -12,7 +12,7 @@ problem flags spell with a leading ``--``:
     target      energy target, an integer <= 0  (required)
     coord-b     binary color segment          (required for plan A)
     coord-t     ternary turn segment          (required for plan B)
-    weight-cap  admissible-weight ceiling     (optional, default weight + 1)
+    weight-cap  admissible-weight ceiling     (optional, plans B and C only; default weight + 1)
 
 Unknown keys are an error, as is a missing required key.  ``build_problem``
 makes the problem of one record, whether read from a file or from the flags.

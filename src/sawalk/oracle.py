@@ -84,7 +84,7 @@ def merge_reports(reports: list[OracleReport]) -> OracleReport:
 
 def _colorings(problem: HPProblem) -> list[str]:
     """The colourings a scan scores, as colour texts in combinations order."""
-    if problem.plan == "A":
+    if problem.fixed_binary is not None:
         return [digits_text(problem.fixed_binary)]
     colorings = []
     for ones in combinations(range(problem.n), problem.weight_target):
@@ -223,9 +223,10 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
     scored: dict[object, list] = {}
     min_value = float("inf")
     argmin: list[tuple[int, tuple[int, ...]]] = []  # (minimizing colourings, turns)
-    # plan B's fold is reported as given; a class scores as its 3 rotations
-    # and, once bent, its mirror's 3
-    credits = (1, 1) if problem.plan == "B" else (3, 6)
+    # a fixed fold (plan B) is reported as given; a class scores as its 3
+    # rotations and, once bent, its mirror's 3
+    fold = problem.fixed_ternary
+    credits = (3, 6) if fold is None else (1, 1)
 
     def score(turns, bent, first, collisions, mask):
         nonlocal min_value
@@ -245,21 +246,21 @@ def _scan(problem: HPProblem, lo: int, hi: int) -> OracleReport:
                 argmin.clear()
             argmin.append((entry[3], tuple(turns)))
 
-    if problem.plan == "B":  # one fold, read from the record, not placed
-        first, collisions, pairs = _fold_analysis(problem.fixed_ternary)
+    if fold is None:
+        _place(n, _roots(n, lo, hi), score)
+    else:  # one fold, read from the record, not placed
+        first, collisions, pairs = _fold_analysis(fold)
         if not collisions:  # scored from the record's pairs, under the mask handed to score
             scored[0] = [0, *_score_colorings(pairs, beads, span)]
-        score(problem.fixed_ternary, False, first, collisions, 0)
-    else:
-        _place(n, _roots(n, lo, hi), score)
+        score(fold, False, first, collisions, 0)
     histogram: dict[int, int] = {}
     for folds, counts, _, _ in scored.values():
         for value, count in counts.items():
             histogram[value] = histogram.get(value, 0) + folds * count
     # the texts are the solution keys: scanned turns start with 2, as do
-    # their mirrors', which are keys of their own; plan B's fold is verbatim
-    if problem.plan != "B":
-        argmin += [(bits, tuple((1, 0, 2)[t] for t in fold)) for bits, fold in argmin]
+    # their mirrors', which are keys of their own; a fixed fold is verbatim
+    if fold is None:
+        argmin += [(bits, tuple((1, 0, 2)[t] for t in turns)) for bits, turns in argmin]
     keys = set()
     for best_bits, turns in argmin:
         turns = digits_text(turns)
@@ -285,10 +286,10 @@ def enumerate_optimum(
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    classes = 1 if problem.plan == "B" else (3 ** (problem.n - 2) + 1) // 2
+    classes = (3 ** (problem.n - 2) + 1) // 2 if problem.fixed_ternary is None else 1
     if classes > domain_cap:
         raise SpaceTooLargeError(classes, domain_cap, "classes")
-    digits = problem.n * (1 if problem.plan == "A" else comb(problem.n, problem.weight_target))
+    digits = problem.n * (comb(problem.n, problem.weight_target) if problem.fixed_binary is None else 1)
     if digits > MAX_COLOR_DIGITS:
         raise SpaceTooLargeError(digits, MAX_COLOR_DIGITS, "colour digits")
     if workers == 1 or classes // workers < MIN_CLASSES_PER_WORKER:

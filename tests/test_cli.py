@@ -3,6 +3,7 @@ import concurrent.futures
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,21 @@ def one_line_exit(err: SystemExit) -> bool:
 
 
 PROBLEM_COMMANDS = ("solve", "experiment", "oracle")
+
+
+def test_readme_cli_examples_parse():
+    """Every ``sawalk`` command in README's CLI block is one the parser takes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip() and not line.lstrip().startswith("#")]
+    assert commands and all(words[0] == "sawalk" for words in commands)
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(words)}")
 
 
 def test_problem_flags_are_the_instance_fields():
@@ -202,6 +218,13 @@ class TestSolve:
                 "solve --plan A --coord-b 1001001001 --coord-t 211011011 --target -4".split()
             )
 
+    @pytest.mark.parametrize("cap", ["9", "0"])
+    def test_plan_a_weight_cap_is_one_line(self, cap):
+        # plan A has no colour moves, so a cap would be silently ignored
+        with pytest.raises(SystemExit, match="plan A searches the fold and admits no weight cap") as err:
+            main(f"solve --plan A --coord-b 1001001001 --target -4 --weight-cap {cap}".split())
+        assert one_line_exit(err.value)
+
     def test_weight_above_length_is_one_line(self):
         with pytest.raises(SystemExit, match="weight target 11 out of range for 10 beads"):
             main("solve --plan C --length 10 --weight 11 --target -4".split())
@@ -345,6 +368,16 @@ class TestExperiment:
             "cntProbe: median 1 mean 1.0 stdev 0.0 min 1 max 1\n"
             "probesPerStep: (no stepped runs)\n"
         )
+
+    def test_improve_with_parallelism_is_one_line_and_leaves_no_out_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit, match="one run at a time, got parallelism 2") as err:
+            main(
+                "experiment --plan C --length 8 --weight 3 --target -2 --seeds 3 "
+                f"--improve --parallelism 2 --out {out}".split()
+            )
+        assert one_line_exit(err.value)
+        assert not out.exists()
 
     def test_improve_mode(self, capsys):
         code = main(

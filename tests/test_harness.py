@@ -207,6 +207,16 @@ class TestImprovingCampaign:
                 floor = row.value
         assert floor == bound
 
+    def test_parallelism_above_one_is_refused_before_the_first_run(self, monkeypatch):
+        # each run's target comes from the runs before it, so none can run beside another
+        def no_run(config, index):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_one", no_run)
+        config = ExperimentConfig(plan_c(-2), sample_size=3, parallelism=2)
+        with pytest.raises(ValueError, match="one run at a time, got parallelism 2"):
+            improving_campaign(config)
+
     def test_bound_starts_at_energy_target(self):
         config = ExperimentConfig(plan_c(-4), sample_size=10, base_seed=8)
         bound, rows = improving_campaign(config)

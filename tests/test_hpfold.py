@@ -265,10 +265,12 @@ class TestMakeProblem:
             ("A", dict(n=5, coord_b="1010", energy_target=0), "binary segment has 4 digits, expected 5"),
             ("B", dict(n=5, coord_t="21", weight_target=2, energy_target=0), "ternary segment has 2 digits, expected 4"),
             ("C", dict(n=10, weight_target=4, energy_target=-4, weight_cap=3), "weight cap below the weight target"),
+            ("A", dict(coord_b="1001001001", energy_target=-4, weight_cap=9), "plan A searches the fold and admits no weight cap"),
         ],
         ids=[
             "A-without-colours", "B-with-colours", "B-without-weight", "C-without-length",
             "no-energy-target", "A-colours-shorter-than-n", "B-turns-shorter-than-n", "cap-below-weight",
+            "A-with-cap",
         ],
     )
     def test_refusals(self, plan, fields, message):

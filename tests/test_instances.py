@@ -50,6 +50,11 @@ class TestParse:
         with pytest.raises(ValueError, match="target"):
             parse_instances("plan = A\ncoord-b = 1001\n")
 
+    def test_plan_a_weight_cap_is_refused(self):
+        # plan A has no colour moves, so a cap would be silently ignored
+        with pytest.raises(ValueError, match="plan A searches the fold and admits no weight cap"):
+            parse_instances("plan = A\ntarget = -4\ncoord-b = 1001001001\nweight-cap = 9\n")
+
     def test_key_without_equals(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_instances("plan C\n")

@@ -196,6 +196,19 @@ class TestDomainSize:
             enumerate_optimum(p)
         assert (err.value.size, err.value.cap) == (1400 * comb(1400, 2), MAX_COLOR_DIGITS) == (1_371_020_000, 28 << 20)
 
+    def test_long_plan_b_chain_is_read_from_the_record_not_placed(self, monkeypatch):
+        # a 1400-bead serpentine: placing it would recurse once a bead, past
+        # the default recursion limit of 1000, so its one fold stays unplaced
+        def placed(*args):
+            raise AssertionError("plan B's fold was placed")
+
+        monkeypatch.setattr(oracle, "_place", placed)
+        turns = (("2" * 8 + "00" + "2" * 8 + "11") * 200)[:1399]
+        report = enumerate_optimum(make_problem("B", coord_t=turns, weight_target=1399, energy_target=0))
+        assert report.evaluations == 1400
+        assert report.histogram == {-1248: 1104, -1249: 292, -1250: 4}
+        assert len(report.argmin) == 4
+
     def test_up_to_2_20_colourings_are_admitted_to_28_beads(self, monkeypatch):
         monkeypatch.setattr(oracle, "_scan", lambda problem, lo, hi: (lo, hi))
         for n in range(3, 29):
