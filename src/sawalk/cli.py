@@ -28,7 +28,7 @@ from sawalk.harness import (
     result_text,
     run_rows,
 )
-from sawalk.hpfold import PLANS
+from sawalk.hpfold import PLANS, weight
 from sawalk.instances import FIELDS, build_problem, load_instances
 from sawalk.mixedradix import hasse_dot, hasse_stats, parse_spec
 from sawalk.oracle import DEFAULT_DOMAIN_CAP, enumerate_optimum, report_text
@@ -106,7 +106,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if row.is_censored:
         # the best pivot seen, whose weight may be anything up to weight_cap
         status = "censored"
-        where += f" with weight {row.coord_b.count('1')}, target weight {problem.weight_target}"
+        where += f" with weight {weight(row.coord_b)}, target weight {problem.weight_target}"
     print(
         f"{status}: value {row.value} at {where} "
         f"(probes {row.cnt_probe}, steps {row.walk_length}, restarts {result.restarts})"

@@ -100,7 +100,7 @@ class VisitedBuffer(OrderedDict):
             self.popitem(last=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     seed: int = DEFAULT_SEED
     probe_limit: int = DEFAULT_PROBE_LIMIT

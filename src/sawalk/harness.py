@@ -29,7 +29,7 @@ from sawalk.engine import (
     SearchResult,
     run_search,
 )
-from sawalk.hpfold import HPProblem, _check_segments, digits_text
+from sawalk.hpfold import HPProblem, digits_text, segments
 
 CSV_COLUMNS = ("seed", "coordB", "coordT", "value", "cntProbe", "walkLength", "probesPerStep", "isCensored")
 
@@ -117,7 +117,7 @@ class RunRow:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     problem: HPProblem
     sample_size: int = 1000
@@ -244,7 +244,7 @@ def parse_rows_csv(text: str) -> list[RunRow]:
         seed, coord_b, coord_t, value, cnt_probe, walk_length, pps, censored = record
         if censored not in ("0", "1"):
             raise ValueError(f"isCensored must be 0 or 1, got {censored!r}")
-        _check_segments(coord_b, coord_t, len(coord_b))
+        segments(coord_b, coord_t)
         row = RunRow(
             seed=int(seed),
             coord_b=coord_b,

@@ -50,33 +50,48 @@ MAX_BEADS = 1 << 15
 PLANS = ("A", "B", "C")
 
 
-def as_digits(value: Digits) -> tuple[int, ...]:
-    """Normalize a digit string or int sequence to a tuple of ints."""
+# a segment's digit text, base by base: exactly these ASCII digits, and the rule
+_DIGIT_TEXT = {
+    2: (frozenset("01"), "colour segments must be binary digits 0/1"),
+    3: (frozenset("012"), "turn segments must be ternary digits 0/1/2"),
+}
+_ASCII_DIGITS = bytes.maketrans(b"012", bytes(range(3)))
+
+
+def as_digits(value: Digits, base: int = 3) -> tuple[int, ...]:
+    """The one reader of a segment's digits, each below ``base``: 2 for colours, 3 for turns.
+
+    Text must be exactly ASCII digits, unpadded; a sequence must hold ints,
+    which are taken as they are, never coerced.  Anything else is refused.
+    """
+    alphabet, rule = _DIGIT_TEXT[base]
     if isinstance(value, str):
-        return tuple(int(ch, 36) for ch in value.strip())
-    return tuple(int(d) for d in value)
+        if alphabet.issuperset(value):
+            return tuple(value.encode().translate(_ASCII_DIGITS))
+    else:
+        digits = tuple(value)
+        if all(type(d) is int and 0 <= d < base for d in digits):
+            return digits
+    raise ValueError(f"{rule}, got {value!r}")
+
+
+def segments(coord_b: Digits, coord_t: Digits, n: Optional[int] = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The one reader of a chain: n colour digits and n - 1 turn digits, n the colours' count unless given."""
+    bits, turns = as_digits(coord_b, 2), as_digits(coord_t)
+    if n is None:
+        n = len(bits)
+    if len(bits) != n or len(turns) != n - 1:
+        raise ValueError(f"segments must be {n} digits 0/1 and {n - 1} digits 0/1/2, got {coord_b!r} {coord_t!r}")
+    return bits, turns
 
 
 def digits_text(digits: Sequence[int]) -> str:
     return "".join(str(d) for d in digits)
 
 
-def _check_segments(coord_b: str, coord_t: str, n: int) -> None:
-    """Refuse segment texts other than n colour digits 0/1 and n - 1 turn digits 0/1/2."""
-    if len(coord_b) != n or len(coord_t) != n - 1 or set(coord_b) - {"0", "1"} or set(coord_t) - {"0", "1", "2"}:
-        raise ValueError(f"segments must be {n} digits 0/1 and {n - 1} digits 0/1/2, got {coord_b!r} {coord_t!r}")
-
-
-def _color_digits(binary: Digits) -> tuple[int, ...]:
-    bits = as_digits(binary)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("color encoding must be binary digits")
-    return bits
-
-
 def weight(binary: Digits) -> int:
     """Number of H beads (1-digits) in a binary segment."""
-    return sum(_color_digits(binary))
+    return sum(as_digits(binary, 2))
 
 
 @dataclass(frozen=True)
@@ -348,13 +363,6 @@ def _pivot_boards(bits: Sequence[int], turns: Sequence[int]) -> Optional[_PivotB
     return _PivotBoards(bits, stride, square, placements, cells, h_cells)
 
 
-def _turn_digits(ternary: Digits) -> tuple[int, ...]:
-    turns = as_digits(ternary)
-    if any(t not in (0, 1, 2) for t in turns):
-        raise ValueError("fold encoding must be ternary digits")
-    return turns
-
-
 def decode_fold(ternary: Digits) -> FoldOutcome:
     """Fold a chain from its turn encoding.
 
@@ -362,7 +370,7 @@ def decode_fold(ternary: Digits) -> FoldOutcome:
     digit first rotates the heading (0 left, 1 right, 2 straight) and then
     advances one lattice unit to place the next bead.
     """
-    turns = _turn_digits(ternary)
+    turns = as_digits(ternary)
     first, collisions, pairs = _fold_analysis(turns)
     return FoldOutcome(
         positions=tuple(_unpack(p) for p in _trace(turns)),
@@ -391,14 +399,10 @@ def default_penalty(n: int, first_collision: int, collision_count: int) -> int:
 
 def objective_value(coord_b: Digits, coord_t: Digits) -> int:
     """Energy of a feasible fold (-contacts) or its infeasibility penalty."""
-    bits = _color_digits(coord_b)
-    turns = _turn_digits(coord_t)
-    n = len(bits)
-    if len(turns) != n - 1:
-        raise ValueError(f"need {n - 1} turn digits for {n} beads, got {len(turns)}")
+    bits, turns = segments(coord_b, coord_t)
     first, collisions, pairs = _fold_analysis(turns)
     if collisions:
-        return default_penalty(n, first, collisions)
+        return default_penalty(len(bits), first, collisions)
     return -_hh_count(pairs, bits)
 
 
@@ -422,16 +426,40 @@ class HPProblem:
     digits.  The walk moves only in a segment that is not fixed: plan A
     fixes the colors, plan B the fold, plan C neither.  Color moves are
     admissible only while the resulting weight stays at or below
-    ``weight_cap``; the stop test demands the exact target weight.
+    ``weight_cap``; the stop test demands the exact target weight.  Every
+    construction checks the values, ``dataclasses.replace`` included.
     """
 
-    plan: str  # the letter make_problem read, for readers; nothing here branches on it
     n: int
     weight_target: int
     energy_target: int
+    weight_cap: int
     fixed_binary: Optional[tuple[int, ...]] = None
     fixed_ternary: Optional[tuple[int, ...]] = None
-    weight_cap: int = 0
+
+    def __post_init__(self) -> None:
+        n, w = self.n, self.weight_target
+        if not 3 <= n <= MAX_BEADS:
+            raise ValueError(f"chains need 3 to {MAX_BEADS} beads, got {n}")
+        if not 0 <= w <= n:
+            raise ValueError(f"weight target {w} out of range for {n} beads")
+        if self.energy_target is None:
+            raise ValueError("an energy target is required")
+        if self.energy_target > 0:
+            raise ValueError("energy targets are zero or negative")
+        if self.fixed_binary is not None and len(self.fixed_binary) != n:
+            raise ValueError(f"binary segment has {len(self.fixed_binary)} digits, expected {n}")
+        if self.fixed_ternary is not None and len(self.fixed_ternary) != n - 1:
+            raise ValueError(f"ternary segment has {len(self.fixed_ternary)} digits, expected {n - 1}")
+        if self.fixed_binary is not None and sum(self.fixed_binary) != w:
+            raise ValueError(f"fixed binary segment has weight {sum(self.fixed_binary)}, not {w}")
+        if self.weight_cap < w:
+            raise ValueError("weight cap below the weight target makes the stop test unreachable")
+
+    @property
+    def plan(self) -> str:
+        """The plan letter, read from the fixed segments: A fixes the colours, B the fold, C neither."""
+        return "A" if self.fixed_binary is not None else "B" if self.fixed_ternary is not None else "C"
 
     @property
     def spec(self) -> RadixSpec:
@@ -531,37 +559,30 @@ class HPProblem:
         keep theirs.  A fixed fold (plan B) is reported verbatim.  Texts that
         do not fit the problem are refused.
         """
-        _check_segments(coord_b, coord_t, self.n)
+        segments(coord_b, coord_t, self.n)
         if self.fixed_ternary is not None:
             return coord_b, coord_t
         return coord_b, "2" + coord_t[1:]
 
 
-def make_problem(
-    plan: str,
-    n: Optional[int] = None,
-    weight_target: Optional[int] = None,
-    energy_target: Optional[int] = None,
-    coord_b: Optional[Digits] = None,
-    coord_t: Optional[Digits] = None,
-    weight_cap: Optional[int] = None,
-) -> HPProblem:
-    """Validate and assemble an HPProblem for one of the three plans.
+def make_problem(plan: str, n: Optional[int] = None, weight_target: Optional[int] = None, energy_target: Optional[int] = None,
+                 coord_b: Optional[Digits] = None, coord_t: Optional[Digits] = None, weight_cap: Optional[int] = None) -> HPProblem:
+    """Assemble an HPProblem for one of the three plans; the problem checks its values.
 
     The one reader of the plan letter, which it turns into fixed segments.
-    Plan A requires the binary segment (its weight becomes the target
-    weight) and admits no weight cap, plan B the ternary segment plus a
-    weight target, and plan C fixes neither; a segment the plan searches
-    may not be fixed.  The weight cap defaults to one above the target.
-    The energy target is never checked for achievability; unreachable
-    targets simply leave runs censored.
+    Plan A requires the binary segment (its weight is the target weight)
+    and admits no weight cap, plan B the ternary segment plus a weight
+    target, and plan C fixes neither; a segment the plan searches may not
+    be fixed.  The weight cap defaults to one above the target.  The energy
+    target is never checked for achievability; unreachable targets simply
+    leave runs censored.
     """
     plan = plan.strip().upper()
     if plan not in PLANS:
         raise ValueError(f"plan must be one of {PLANS}, got {plan!r}")
 
-    fixed_b = _color_digits(coord_b) if coord_b is not None else None
-    fixed_t = _turn_digits(coord_t) if coord_t is not None else None
+    fixed_b = as_digits(coord_b, 2) if coord_b is not None else None
+    fixed_t = as_digits(coord_t) if coord_t is not None else None
 
     if plan == "A":
         if fixed_b is None:
@@ -572,10 +593,8 @@ def make_problem(
             raise ValueError("plan A searches the fold and admits no weight cap")
         if n is None:
             n = len(fixed_b)
-        w = weight(fixed_b)
-        if weight_target is not None and weight_target != w:
-            raise ValueError(f"fixed binary segment has weight {w}, not {weight_target}")
-        weight_target = w
+        if weight_target is None:
+            weight_target = sum(fixed_b)
     elif plan == "B":
         if fixed_t is None:
             raise ValueError("plan B requires the ternary segment")
@@ -591,30 +610,11 @@ def make_problem(
         if n is None or weight_target is None:
             raise ValueError("plan C requires the chain length and weight target")
 
-    if not 3 <= n <= MAX_BEADS:
-        raise ValueError(f"chains need 3 to {MAX_BEADS} beads, got {n}")
-    if not 0 <= weight_target <= n:
-        raise ValueError(f"weight target {weight_target} out of range for {n} beads")
-    if energy_target is None:
-        raise ValueError("an energy target is required")
-    if energy_target > 0:
-        raise ValueError("energy targets are zero or negative")
-    if fixed_b is not None and len(fixed_b) != n:
-        raise ValueError(f"binary segment has {len(fixed_b)} digits, expected {n}")
-    if fixed_t is not None and len(fixed_t) != n - 1:
-        raise ValueError(f"ternary segment has {len(fixed_t)} digits, expected {n - 1}")
-    if weight_cap is None:
-        weight_cap = weight_target + 1
-    if weight_cap < weight_target:
-        raise ValueError("weight cap below the weight target makes the stop test unreachable")
-
     return HPProblem(
-        plan=plan,
         n=n,
         weight_target=weight_target,
         energy_target=energy_target,
+        weight_cap=weight_target + 1 if weight_cap is None else weight_cap,
         fixed_binary=fixed_b,
         fixed_ternary=fixed_t,
-        weight_cap=weight_cap,
     )
-

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from sawalk.hpfold import _STEP, _TURNED, HPProblem, _check_segments, _fold_analysis, default_penalty, digits_text
+from sawalk.hpfold import _STEP, _TURNED, HPProblem, _fold_analysis, default_penalty, digits_text, segments
 from sawalk.mixedradix import SpaceTooLargeError
 
 # Most classes a scan places by default: plans A and C up to n=17 (7,174,454
@@ -351,7 +351,7 @@ def parse_report(text: str) -> OracleReport:
             colors, turns = value.split()
             if beads is None:
                 beads = len(colors)
-            _check_segments(colors, turns, beads)
+            segments(colors, turns, beads)
             argmin.add((colors, turns))
         else:
             raise ValueError(f"unrecognized or repeated report line: {raw!r}")

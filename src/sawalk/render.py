@@ -8,17 +8,15 @@ solid and contacts dashed (':' or '*' in text).
 """
 from __future__ import annotations
 
-from sawalk.hpfold import Digits, as_digits, decode_fold, weight
+from sawalk.hpfold import Digits, decode_fold, segments, weight
 
 
 def _layout(coord_b: Digits, coord_t: Digits):
     """Cells as (column, row), colours, bonds, H-H contacts and caption of a feasible fold."""
-    bits = as_digits(coord_b)
-    outcome = decode_fold(coord_t)
+    bits, turns = segments(coord_b, coord_t)
+    outcome = decode_fold(turns)
     if not outcome.feasible:
         raise ValueError(f"collision at bead {outcome.first_collision_index}")
-    if len(bits) != len(outcome.positions):
-        raise ValueError("color and turn segments describe different chain lengths")
     left = min(x for x, _ in outcome.positions)
     top = max(y for _, y in outcome.positions)
     cells = [(x - left, top - y) for x, y in outcome.positions]

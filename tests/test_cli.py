@@ -62,6 +62,15 @@ def test_readme_cli_examples_parse():
             pytest.fail(f"README example does not parse: {shlex.join(words)}")
 
 
+def test_readme_library_example_runs(capsys):
+    """README's Library block runs as written and prints its run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    # the run of test_solved_line_is_unchanged
+    assert capsys.readouterr().out == "-4 48978 2918 False\n"
+
+
 def test_problem_flags_are_the_instance_fields():
     """The flags that solve, experiment and oracle share, apart from help,
     --out, --instance and --index, are the instance file's keys."""
@@ -223,6 +232,12 @@ class TestSolve:
         # plan A has no colour moves, so a cap would be silently ignored
         with pytest.raises(SystemExit, match="plan A searches the fold and admits no weight cap") as err:
             main(f"solve --plan A --coord-b 1001001001 --target -4 --weight-cap {cap}".split())
+        assert one_line_exit(err.value)
+
+    def test_padded_segment_is_one_line(self):
+        # the CSV row such a run writes would not read back
+        with pytest.raises(SystemExit, match="colour segments must be binary digits 0/1, got ' 1001001001'") as err:
+            main(["solve", "--plan", "A", "--coord-b", " 1001001001", "--target", "-4"])
         assert one_line_exit(err.value)
 
     def test_weight_above_length_is_one_line(self):

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -135,6 +135,13 @@ class TestSearchConfig:
         # refused when the config is built, not when the first run starts
         with pytest.raises(ValueError, match=message):
             SearchConfig(**limits)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(SearchConfig)])
+    def test_fields_cannot_be_assigned(self, field):
+        # an assigned seed of -7 would run seed 7's walk and report -7
+        config = SearchConfig(seed=7)
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field, -7)
 
 
 class TestBestNeighbor:

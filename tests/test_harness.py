@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -328,6 +329,13 @@ class TestSerialization:
         # refused when the config is built, before any run or worker starts
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(plan_c(), parallelism=2, **limits)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(ExperimentConfig)])
+    def test_fields_cannot_be_assigned(self, field):
+        # the constructor's checks would not see an assigned value
+        config = ExperimentConfig(plan_c())
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field, 0)
 
 
 class TestMetricStatsShape:

@@ -1,6 +1,6 @@
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from sawalk.hpfold import (
 )
 from sawalk.instances import load_instances
 from sawalk.mixedradix import Coordinate, neighbors, rank_distance
+from sawalk.render import ascii_conformation
 
 LITERATURE = Path(__file__).resolve().parent.parent / "instances" / "hp_literature.instances"
 HP10 = LITERATURE.with_name("hp10.instances")
@@ -49,6 +50,65 @@ class TestWeight:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             weight("102")
+
+
+# ten digits 1001001001, each as no reader of a chain takes it: padded text,
+# Arabic-Indic digits, a float digit, bool digits
+UNREAD_CHAINS = [
+    " 1001001001",
+    "\u0661\u0660\u0660\u0661\u0660\u0660\u0661\u0660\u0660\u0661",
+    [1, 0, 0, 1, 0, 0, 1, 0, 0, 0.9],
+    [True, False, False, True, False, False, True, False, False, True],
+]
+
+
+class TestOneReader:
+    """Every caller reads a chain through hpfold.segments or its segment reader as_digits:
+    exact ASCII digits, or ints taken as they are."""
+
+    @pytest.mark.parametrize("chain", UNREAD_CHAINS, ids=["padded", "arabic-indic", "float-digit", "bool-digits"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda chain: make_problem("A", coord_b=chain, energy_target=-4),
+            lambda chain: make_problem("B", coord_t=chain, weight_target=4, energy_target=-4),
+            lambda chain: objective_value(chain, "211011011"),
+            decode_fold,
+            weight,
+            lambda chain: ascii_conformation(chain, "211011011"),
+        ],
+        ids=["make_problem-A", "make_problem-B", "objective_value", "decode_fold", "weight", "ascii_conformation"],
+    )
+    def test_every_caller_refuses(self, read, chain):
+        with pytest.raises(ValueError, match="segments must be"):
+            read(chain)
+
+    @pytest.mark.parametrize(
+        "coord_b, coord_t",
+        [
+            ("1001001001", "211011011"),
+            ([1, 0, 0, 1, 0, 0, 1, 0, 0, 1], (2, 1, 1, 0, 1, 1, 0, 1, 1)),
+            (bytes([1, 0, 0, 1, 0, 0, 1, 0, 0, 1]), bytes([2, 1, 1, 0, 1, 1, 0, 1, 1])),
+        ],
+        ids=["text", "ints", "bytes"],
+    )
+    def test_text_and_ints_read_alike(self, coord_b, coord_t):
+        assert hpfold.segments(coord_b, coord_t) == ((1, 0, 0, 1, 0, 0, 1, 0, 0, 1), (2, 1, 1, 0, 1, 1, 0, 1, 1))
+        assert hpfold.segments(coord_b, coord_t, 10) == hpfold.segments(coord_b, coord_t)
+
+    @pytest.mark.parametrize(
+        "coord_b, coord_t, n, message",
+        [
+            ("1021", "222", None, "colour segments must be binary digits 0/1, got '1021'"),
+            ("1001", "232", None, "turn segments must be ternary digits 0/1/2, got '232'"),
+            ("1001", "22", None, "segments must be 4 digits 0/1 and 3 digits 0/1/2"),
+            ("1001", "222", 5, "segments must be 5 digits 0/1 and 4 digits 0/1/2"),
+        ],
+        ids=["colour-digit", "turn-digit", "short-fold", "short-of-n"],
+    )
+    def test_refusals(self, coord_b, coord_t, n, message):
+        with pytest.raises(ValueError, match=message):
+            hpfold.segments(coord_b, coord_t, n)
 
 
 class TestDecodeFold:
@@ -276,6 +336,37 @@ class TestMakeProblem:
     def test_refusals(self, plan, fields, message):
         with pytest.raises(ValueError, match=message):
             make_problem(plan, **fields)
+
+
+class TestProblemChecksItself:
+    """HPProblem checks its values on every construction, dataclasses.replace included."""
+
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [
+            (2, dict(energy_target=3), "energy targets are zero or negative"),
+            (2, dict(weight_target=11), "weight target 11 out of range for 10 beads"),
+            (2, dict(weight_cap=3), "weight cap below the weight target makes the stop test unreachable"),
+            (2, dict(n=2), "chains need 3 to 32768 beads, got 2"),
+            (1, dict(fixed_ternary=(2,) * 8), "ternary segment has 8 digits, expected 9"),
+            (0, dict(weight_target=3), "fixed binary segment has weight 4, not 3"),
+        ],
+        ids=["positive-target", "weight-above-n", "cap-below-weight", "short-chain", "short-fold", "A-off-its-weight"],
+    )
+    def test_replace_is_checked(self, index, change, message):
+        # the three worked 10-bead records, plans A, B and C; the values are make_problem's messages
+        problem = ONE_PER_PLAN[index]
+        with pytest.raises(ValueError, match=message):
+            replace(problem, **change)
+
+    def test_plan_is_read_from_the_fixed_segments(self):
+        a, b, c = load_instances(HP10)
+        assert [a.plan, b.plan, c.plan] == ["A", "B", "C"]
+        assert {f.name for f in fields(hpfold.HPProblem)} == {
+            "n", "weight_target", "energy_target", "weight_cap", "fixed_binary", "fixed_ternary"
+        }
+        # fixing plan C's colours makes a plan A problem
+        assert replace(c, fixed_binary=a.fixed_binary).plan == "A"
 
 
 class TestPlanMoves:

@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawalk.engine import SearchConfig, run_search
@@ -232,7 +232,28 @@ def oracle_reports(draw):
     return OracleReport(tuple(sorted(argmin)), histogram)
 
 
+# digit-like texts: ASCII digits in and out of range, a letter, a space,
+# an Arabic-Indic one and a fullwidth three
+chain_texts = st.text(alphabet=["0", "1", "2", "3", "a", " ", "\u0661", "\uff13"], max_size=6)
+
+
+def _refuses(read, *args) -> bool:
+    try:
+        read(*args)
+    except ValueError:
+        return True
+    return False
+
+
 class TestFormatRoundTrips:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_texts, chain_texts)
+    @example(" 1", "")
+    def test_entry_points_and_read_back_accept_the_same_chains(self, coord_b, coord_t):
+        # every field of the censored row but the two texts is one rows_csv writes
+        csv_text = ",".join(CSV_COLUMNS) + f"\n7,{coord_b},{coord_t},-1,30,3,10.0,1\n"
+        assert _refuses(objective_value, coord_b, coord_t) == _refuses(parse_rows_csv, csv_text)
+
     @given(oracle_reports())
     def test_report_text_reads_back(self, report):
         assert parse_report(report_text(report)) == report
