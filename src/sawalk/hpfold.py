@@ -19,8 +19,9 @@ It is memoized for the walks that revisit folds.  Plan A, whose every move
 changes one turn, keeps its pivots out of the record, since every pivot is
 a new fold, and values its turn moves from lattice bitboards of that pivot
 (``_PivotBoards``): each move rotates the chain's tail rigidly about one
-bead, so its collisions and new contacts are a few big-int operations
-against the pivot's head.  The next pivot is one of those moves, so its
+bead, so its collisions are a few big-int operations against the pivot's
+head, and its contacts are the adjacencies of the moved fold's H cells
+less the chain's H-H bonds.  The next pivot is one of those moves, so its
 boards are derived from the last pivot's and the move; only the first
 pivot, a restart, and a move that leaves the last pivot's layout are built
 from their turns.  The moves are found by their candidate's digits, in a
@@ -35,7 +36,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, islice
-from operator import add, and_, or_
+from operator import and_, or_
 from typing import Callable, Optional, Sequence, Union
 
 from sawalk.mixedradix import RadixSpec, sample_weight_positions
@@ -197,11 +198,13 @@ _MOVE_ROTATIONS = tuple(
 # and places the head against it, shifted by R P_k - P_k, whose coordinates
 # lie in [-2m, 2m]; the placed head lies in [-3m, 3m]^2.  Cell (x, y) is bit
 # origin + x + stride * y, with stride 4m + 2 and origin (m + 1)(stride + 1):
-# - a tail cell and a placed head cell, or its lattice neighbour, differ in x
-#   by at most 4m + 1 < stride, so equal bit indices mean equal cells, and
-#   a head cell past the end of its row cannot pose as a tail cell;
-# - the cells of [-m - 1, m + 1]^2 have indices >= 0, so the head cells that
-#   a right shift drops below bit 0 can neither meet nor touch the tail.
+# - any two beads of the moved fold differ in x by at most 4m < stride - 1,
+#   so equal bit indices mean equal cells, and bits 1 or stride apart are
+#   lattice neighbours: a cell at the end of its row never poses as one;
+# - the cells of [-m, m]^2 have indices > 0, so the head cells that a right
+#   shift drops below bit 0 cannot meet the tail.  H cells are placed by
+#   left shifts only (the tail moves where the head would move down), so
+#   none of them drops.
 # A pivot built from its turns takes m from its own extent; one derived from
 # the move that made it keeps its parent's m, which still bounds it.
 #
@@ -226,10 +229,12 @@ class _PivotBoards:
     holds the cells of the layout's [-m, m]^2.  Move (k, r) meets the
     rotated tail ``cells[r][n] ^ cells[r][k + 1]`` with the head
     ``cells[0][k + 1]``, shifted by bead k's offset between the two
-    placements.  Collisions are their common cells, and the H-H contacts
-    across bead k are four shifted ANDs of their H cells: a feasible value
-    takes a fixed number of big-int operations, a penalty a binary search
-    for the first collision more.  Both equal the fold record's.
+    placements.  Collisions are their common cells.  The H-H contacts of a
+    feasible move are the lattice adjacencies of the moved fold's H cells,
+    two shifted ANDs, minus the chain's H-H bonds ``h_bonds``, a constant
+    of the colouring: a feasible value takes a fixed number of big-int
+    operations, a penalty a binary search for the first collision more.
+    Both equal the fold record's.
 
     The boards come from one of two sources.  ``_pivot_boards`` builds them
     from a pivot's turns.  ``moved`` derives those of the pivot that a move
@@ -240,37 +245,23 @@ class _PivotBoards:
     new pivot's boards from its turns.
     """
 
-    __slots__ = ("stride", "square", "placements", "cells", "h_cells", "base")
+    __slots__ = ("h_bonds", "stride", "square", "placements", "cells", "h_cells")
 
     def __init__(
         self,
-        bits: Sequence[int],
+        h_bonds: int,
         stride: int,
         square: int,
         placements: list[list[int]],
         cells: list[list[int]],
         h_cells: list[int],
     ):
+        self.h_bonds = h_bonds
         self.stride = stride
         self.square = square
         self.placements = placements
         self.cells = cells
         self.h_cells = h_cells
-        # base[k]: move k's value before its H-H contacts across bead k are
-        # counted: the pivot's other H-H contacts, negated, plus the bond
-        # (k, k+1), which the shifted ANDs count when both beads are H.  Each
-        # H-H contact is seen once, from its lower or its left bead.
-        n = len(bits)
-        h_beads = dict(zip(compress(placements[0], bits), compress(range(n), bits)))
-        get = h_beads.get
-        across = [0] * n
-        for p, i in h_beads.items():
-            for j in (get(p + 1), get(p + stride)):
-                if j is not None and not -1 <= j - i <= 1:
-                    across[0] -= 1
-                    across[min(i, j)] += 1
-                    across[max(i, j)] -= 1
-        self.base = list(map(add, accumulate(across), map(and_, bits, bits[1:])))
 
     def value(self, k: int, r: int) -> int:
         """Value of the fold with beads k+1.. rotated r quarter turns about bead k."""
@@ -278,31 +269,28 @@ class _PivotBoards:
         n = len(cells) - 1
         shift = self.placements[r][k] - self.placements[0][k]
         head = self.cells[0][k + 1]
-        head = head << shift if shift >= 0 else head >> -shift
+        placed = head << shift if shift >= 0 else head >> -shift
         tail = cells[n] ^ cells[k + 1]
-        if head & tail:
+        if placed & tail:
             # tail beads are distinct and meet only head cells, so the first
             # collision is the least j whose tail beads k+1..j meet the head
             lo, hi = k + 1, n - 1
             while lo < hi:
                 mid = (lo + hi) >> 1
-                if head & (cells[mid + 1] ^ cells[k + 1]):
+                if placed & (cells[mid + 1] ^ cells[k + 1]):
                     hi = mid
                 else:
                     lo = mid + 1
-            return default_penalty(n, lo, (head & tail).bit_count())
-        h_cells = self.h_cells[0]
-        h_head = head & (h_cells << shift if shift >= 0 else h_cells >> -shift)
+            return default_penalty(n, lo, (placed & tail).bit_count())
+        # the moved fold's H cells: the head moves by shift, or the tail by
+        # -shift, so that no H cell drops below bit 0
+        h_head = head & self.h_cells[0]
         h_tail = tail & self.h_cells[r]
+        h = h_head << shift | h_tail if shift >= 0 else h_head | h_tail << -shift
         w = self.stride
-        return self.base[k] - (
-            ((h_head << 1) & h_tail).bit_count()
-            + ((h_head >> 1) & h_tail).bit_count()
-            + ((h_head << w) & h_tail).bit_count()
-            + ((h_head >> w) & h_tail).bit_count()
-        )
+        return self.h_bonds - ((h << 1) & h).bit_count() - ((h << w) & h).bit_count()
 
-    def moved(self, bits: Sequence[int], k: int, r: int) -> Optional[_PivotBoards]:
+    def moved(self, k: int, r: int) -> Optional[_PivotBoards]:
         """Boards of the fold that move (k, r) makes, in this layout, or None.
 
         In rotation s the new fold's head is this fold's, and its tail is
@@ -312,7 +300,7 @@ class _PivotBoards:
         so rotation 0 alone is tested.
         """
         placements, cells, h_cells = self.placements, self.cells, self.h_cells
-        n = len(bits)
+        n = len(placements[0])
         moved_placements, moved_cells, moved_h_cells = [], [], []
         for s in range(4):
             t = (s + r) & 3
@@ -333,7 +321,7 @@ class _PivotBoards:
             prefix += accumulate(map((1).__lshift__, tail), or_, initial=head)
             moved_cells.append(prefix)
             moved_h_cells.append((h_cells[s] & head) | (_shifted(h_cells[t], shift) & tail_cells))
-        return _PivotBoards(bits, self.stride, self.square, moved_placements, moved_cells, moved_h_cells)
+        return _PivotBoards(self.h_bonds, self.stride, self.square, moved_placements, moved_cells, moved_h_cells)
 
 
 def _pivot_boards(bits: Sequence[int], turns: Sequence[int]) -> Optional[_PivotBoards]:
@@ -360,7 +348,7 @@ def _pivot_boards(bits: Sequence[int], turns: Sequence[int]) -> Optional[_PivotB
     h_cells = [sum(map((1).__lshift__, compress(placed, bits))) for placed in placements]
     row = ((1 << (2 * m + 1)) - 1) << (origin - m * (stride + 1))  # the cells (-m..m, -m)
     square = sum(row << (stride * y) for y in range(2 * m + 1))
-    return _PivotBoards(bits, stride, square, placements, cells, h_cells)
+    return _PivotBoards(sum(map(and_, bits, bits[1:])), stride, square, placements, cells, h_cells)
 
 
 def decode_fold(ternary: Digits) -> FoldOutcome:
@@ -427,7 +415,9 @@ class HPProblem:
     fixes the colors, plan B the fold, plan C neither.  Color moves are
     admissible only while the resulting weight stays at or below
     ``weight_cap``; the stop test demands the exact target weight.  Every
-    construction checks the values, ``dataclasses.replace`` included.
+    construction checks the values, ``dataclasses.replace`` included: at
+    most one segment is fixed, and a fixed one is read by ``as_digits`` and
+    kept as an int tuple.
     """
 
     n: int
@@ -447,6 +437,13 @@ class HPProblem:
             raise ValueError("an energy target is required")
         if self.energy_target > 0:
             raise ValueError("energy targets are zero or negative")
+        if self.fixed_binary is not None and self.fixed_ternary is not None:
+            raise ValueError("a problem fixes the colours (plan A) or the fold (plan B), not both")
+        for name, base in (("fixed_binary", 2), ("fixed_ternary", 3)):
+            segment = getattr(self, name)
+            if segment is not None:
+                # the segment as read, an int tuple, replaces what was given
+                object.__setattr__(self, name, as_digits(segment, base))
         if self.fixed_binary is not None and len(self.fixed_binary) != n:
             raise ValueError(f"binary segment has {len(self.fixed_binary)} digits, expected {n}")
         if self.fixed_ternary is not None and len(self.fixed_ternary) != n - 1:
@@ -530,7 +527,7 @@ class HPProblem:
             bits, turns = digits[:n], digits[n:]
             boards, moves = _turn_moves
             move = moves.get(digits)
-            boards = boards.moved(bits, *move) if move is not None else None
+            boards = boards.moved(*move) if move is not None else None
             if boards is None:
                 boards = _pivot_boards(bits, turns)
             moves = {}  # stays empty for a colliding pivot or one past the bound

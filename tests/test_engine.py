@@ -11,7 +11,15 @@ from sawalk.engine import (
     run_search,
 )
 from sawalk.hpfold import as_digits, make_problem
-from sawalk.mixedradix import Coordinate, RadixSpec, parse_coordinate, rank_distance
+from sawalk.mixedradix import (
+    Coordinate,
+    RadixSpec,
+    iter_space,
+    neighbors,
+    parse_coordinate,
+    parse_spec,
+    rank_distance,
+)
 
 
 def tiny_problem(target=0):
@@ -432,3 +440,31 @@ class TestPointType:
         as_tuples = run_search(config, AsTuples(replace(problem)))
         assert walked.walk_length > 10
         assert as_tuples == walked
+
+
+class TestFunctionProblem:
+    """The adapter from a plain function of a Coordinate to a search problem."""
+
+    def test_neighbours_are_the_coordinates_neighbours(self):
+        spec = parse_spec("2^3.5^2")
+        problem = FunctionProblem(spec, lambda c: 0, 0)
+        for coord in iter_space(spec):
+            assert problem.admissible_neighbors(coord.digits) == [c.digits for c in neighbors(coord)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_walk_reaches_a_separable_minimum(self, seed):
+        # one term per digit, least only at 101.30
+        spec = parse_spec("2^3.5^2")
+        goal = (1, 0, 1, 3, 0)
+        problem = FunctionProblem(spec, lambda c: sum((d - g) ** 2 for d, g in zip(c.digits, goal)), 0)
+        result = run_search(SearchConfig(seed=seed), problem)
+        assert not result.is_censored
+        assert (result.coordinate.digits, result.value) == (goal, 0)
+
+    def test_bases_above_a_byte_walk_on_tuples(self):
+        problem = FunctionProblem(parse_spec("300^2"), lambda c: sum(c.digits), 0)
+        assert type(problem.random_coordinate(random.Random(0))) is tuple
+        assert problem.admissible_neighbors((255, 299)) == [(254, 299), (256, 299), (255, 298)]
+        result = run_search(SearchConfig(seed=0), FixedStart(problem, (255, 299)))
+        # every step lowers one digit by 1: 255 + 299 steps to the origin
+        assert (result.coordinate.digits, result.value, result.walk_length) == ((0, 0), 0, 554)

@@ -91,6 +91,29 @@ def test_solve_csv_plan_a_literature(tmp_path, capsys, index, digest):
     assert sha256(out.read_text()) == digest
 
 
+@pytest.mark.parametrize(
+    "index, base_seed, row",
+    [
+        # plan A n=24: solved, then censored at the probe limit
+        (2, 1, "1,110010010010010010010011,22110110210110120110112,-9,185605,6326,29.340025292443883,0\n"),
+        (2, 2, "2,110010010010010010010011,02110110011001001202001,-8,200021,6907,28.95917185464022,1\n"),
+        # plan A n=25: censored twice
+        (4, 2, "2,0010011000011000011000011,002120011212021120212110,-6,200030,6534,30.613712886440158,1\n"),
+        (4, 3, "3,0010011000011000011000011,201002011212220022221122,-7,200017,6944,28.804291474654377,1\n"),
+    ],
+)
+def test_solve_csv_plan_a_past_n20(tmp_path, capsys, index, base_seed, row):
+    out = tmp_path / "row.csv"
+    main([
+        "solve", "--instance", str(LITERATURE), "--index", str(index),
+        "--base-seed", str(base_seed), "--probe-limit", "200000", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert out.read_text() == (
+        "seed,coordB,coordT,value,cntProbe,walkLength,probesPerStep,isCensored\n" + row
+    )
+
+
 def test_solve_csv(tmp_path, capsys):
     out = tmp_path / "row.csv"
     main(["solve", "--instance", str(HP10), "--index", "2", "--base-seed", "7", "--out", str(out)])

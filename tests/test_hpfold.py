@@ -350,8 +350,15 @@ class TestProblemChecksItself:
             (2, dict(n=2), "chains need 3 to 32768 beads, got 2"),
             (1, dict(fixed_ternary=(2,) * 8), "ternary segment has 8 digits, expected 9"),
             (0, dict(weight_target=3), "fixed binary segment has weight 4, not 3"),
+            # digits 2 that sum to the weight target once read as plan A
+            (2, dict(fixed_binary=(2, 0, 0, 2, 0, 0, 0, 0, 0, 0)), "colour segments must be binary digits 0/1"),
+            (1, dict(fixed_ternary=(3,) * 9), "turn segments must be ternary digits 0/1/2"),
+            (0, dict(fixed_ternary=(2,) * 9), r"the colours \(plan A\) or the fold \(plan B\), not both"),
         ],
-        ids=["positive-target", "weight-above-n", "cap-below-weight", "short-chain", "short-fold", "A-off-its-weight"],
+        ids=[
+            "positive-target", "weight-above-n", "cap-below-weight", "short-chain", "short-fold", "A-off-its-weight",
+            "binary-digit-2", "ternary-digit-3", "both-fixed",
+        ],
     )
     def test_replace_is_checked(self, index, change, message):
         # the three worked 10-bead records, plans A, B and C; the values are make_problem's messages
@@ -367,6 +374,14 @@ class TestProblemChecksItself:
         }
         # fixing plan C's colours makes a plan A problem
         assert replace(c, fixed_binary=a.fixed_binary).plan == "A"
+
+    def test_fixed_segments_are_read_as_int_tuples(self):
+        a, b, c = ONE_PER_PLAN
+        # digit text reads as the chain readers read it, and is stored as ints
+        from_text = replace(c, fixed_binary="1001001001")
+        assert from_text == a and from_text.fixed_binary == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
+        assert replace(c, fixed_ternary="211011011") == b
+        assert replace(b, fixed_ternary=bytes(b.fixed_ternary)).fixed_ternary == b.fixed_ternary
 
 
 class TestPlanMoves:
@@ -609,6 +624,26 @@ colorings = st.integers(3, 40).flatmap(
 )
 
 
+class CheckedProbes:
+    """A plan A problem whose every probe is checked against the fold record."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self._objective = problem.objective
+        self.probes = self.from_boards = 0
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def objective(self, digits):
+        n = self._problem.n
+        value = self._objective(digits)
+        assert value == objective_value(digits[:n], digits[n:])
+        self.probes += 1
+        self.from_boards += digits in hpfold._turn_moves[1]
+        return value
+
+
 class TestTurnMoveValues:
     """Plan A values its pivot's turn moves from bitboards; they must equal
     the fold record's values whatever the pivot, colours, penalty or order.
@@ -663,6 +698,34 @@ class TestTurnMoveValues:
             cls._assert_exact(problem, candidates)
             # the move back to the last pivot keeps the list from being empty
             pivot = rng.choice([c for c in candidates if objective_value(c[:n], c[n:]) <= 0])
+
+    def test_head_moved_down_keeps_its_h_cells(self):
+        # beads 0..2 straight up and bead 3 to the right: m = 2, stride 10.
+        # Turning left instead at bead 2 is the half turn (2, 2), which places
+        # the head 4 rows down; a right shift of its H cells would drop H
+        # bead 0 below bit 0, and with it the bond (0, 1)
+        bits = (1, 1, 0, 0)
+        problem = make_problem("A", coord_b=bits, energy_target=0)
+        move = problem.admissible_neighbors(point(bits, (2, 2, 1)))[2]
+        assert move == point(bits, (2, 2, 0))
+        boards, moves = hpfold._turn_moves
+        k, r = moves[move]
+        shift = boards.placements[r][k] - boards.placements[0][k]
+        assert (k, r, shift) == (2, 2, -40)
+        h_head = boards.cells[0][k + 1] & boards.h_cells[0]
+        assert h_head >> -shift << -shift != h_head
+        assert problem.objective(move) == objective_value(bits, (2, 2, 0)) == 0
+
+    @pytest.mark.parametrize("index", [2, 4], ids=["n24", "n25"])
+    def test_literature_walks_match_the_record(self, index):
+        # the published n = 24 and n = 25 chains: every probe of a few walks
+        # equals the fold record's value, and nearly all come from the boards
+        problem = load_instances(LITERATURE)[index]
+        checked = CheckedProbes(problem)
+        for seed in range(3):
+            result = run_search(SearchConfig(seed=seed, probe_limit=3000), checked)
+            assert result.probe_count >= 3000
+        assert checked.from_boards > 0.95 * checked.probes
 
     @pytest.mark.parametrize("bits", ["1" * 18, "0" * 18, "101100101001101011", "000110110001001111"])
     def test_chain_of_moved_pivots(self, bits):
